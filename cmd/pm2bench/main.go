@@ -21,7 +21,7 @@
 //	pm2bench -fig ablations    # slot cache / pack mode / distribution / pointers
 //	pm2bench -fig scenarios    # placement-policy × workload matrix
 //	pm2bench -fig scenarios -policy work-stealing
-//	pm2bench -fig scenarios -arbiter sharded
+//	pm2bench -fig scenarios -arbiter optimistic
 //	pm2bench -fig serve        # serving workload: per-cohort SLO + saturation knee
 //	pm2bench -fig serve -json  # also write BENCH_serve.json
 //	pm2bench -fig scale        # kernel scaling: 64/256/1024/4096 nodes × worker pool × gather burst
@@ -426,7 +426,7 @@ func negotiation(jsonPath string) {
 // batched gather keeps the gather term identical across arbiters, so
 // the spread between the rows is purely the concurrency scheme.
 func contention(only string) {
-	arbs := []pm2.ArbiterMode{pm2.ArbiterGlobal, pm2.ArbiterSharded, pm2.ArbiterOptimistic}
+	arbs := []pm2.ArbiterMode{pm2.ArbiterGlobal, pm2.ArbiterOptimistic}
 	if only != "" {
 		a, err := pm2.ParseArbiterMode(only)
 		if err != nil {
@@ -446,9 +446,8 @@ func contention(only string) {
 		}
 	}
 	fmt.Println("\n(the global arbiter serializes every negotiation through node 0's lock, so its")
-	fmt.Println(" makespan grows with the initiator count; the sharded arbiter locks only the")
-	fmt.Println(" shards a planned run touches, and the optimistic arbiter replaces locking with")
-	fmt.Println(" version-validated purchases — disjoint negotiations overlap under both)")
+	fmt.Println(" makespan grows with the initiator count; the optimistic arbiter replaces")
+	fmt.Println(" locking with version-validated purchases, so disjoint negotiations overlap)")
 }
 
 // failover prints the fail-stop recovery figure: one node of four dies

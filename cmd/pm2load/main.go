@@ -15,7 +15,7 @@
 //	pm2load -mech relocate p2                # Figure 2
 //	pm2load -warm-heap 65536 p4m 300         # Figure 9
 //	pm2load -policy round-robin -balance 2000 -nodes 4 p4 1000
-//	pm2load -gather delta -arbiter sharded -nodes 16 allocone 150000
+//	pm2load -gather delta -arbiter optimistic -nodes 16 allocone 150000
 //	pm2load -nodes 4 -fault crash:1@3000 -node 1 worker 30000
 //	pm2load -nodes 4 -fault "partition:1-0@3000..9000;partition:1-2@3000..9000;partition:1-3@3000..9000" \
 //	        -rpc-timeout auto allocone 150000
@@ -27,7 +27,7 @@
 // work-stealing); -mech selects the migration mechanism (iso |
 // relocate); -gather the §4.4 bitmap-gather strategy (sequential |
 // batched | tree | delta); -arbiter the negotiation concurrency scheme
-// (global | sharded | optimistic). For compatibility, -policy also
+// (global | optimistic). For compatibility, -policy also
 // accepts the legacy values "iso" and "relocate" and treats them as
 // -mech.
 //

@@ -449,9 +449,9 @@ type ContentionRow struct {
 // initiators: m nodes (evenly spread over the cluster) each start a
 // 3-slot negotiation in the same instant, once per arbiter scheme. The
 // global arbiter serializes all of them through the node-0 lock, so its
-// makespan grows with m; the sharded and optimistic arbiters let
-// disjoint negotiations overlap — the figure the decentralized
-// arbiters exist for.
+// makespan grows with m; the optimistic arbiter lets disjoint
+// negotiations overlap — the figure the decentralized arbiter exists
+// for.
 func Contention(nodes, m int, arbiters []pm2.ArbiterMode, gather pm2.GatherMode) []ContentionRow {
 	if m > nodes {
 		m = nodes
@@ -462,7 +462,7 @@ func Contention(nodes, m int, arbiters []pm2.ArbiterMode, gather pm2.GatherMode)
 		succeeded := 0
 		for i := 0; i < m; i++ {
 			// Spread the initiators over the ranks so their home regions
-			// (and shard sets) are representative, not adjacent.
+			// are representative, not adjacent.
 			id := i * nodes / m
 			c.At(id, func(n *pm2.Node) {
 				n.Negotiate(3, func(ok bool) {

@@ -73,11 +73,11 @@ func PlanPurchaseOn(global *bitmap.Bitmap, maps []*bitmap.Bitmap, n, requester i
 // PlanCandidatesOn enumerates up to max candidate purchases of n
 // contiguous slots, scanning the global map from slot origin and
 // wrapping past the end — one candidate per maximal free region, in
-// scan order. The decentralized arbiters use it to pick among runs by
+// scan order. The optimistic arbiter uses it to pick among runs by
 // seller count (fewest-owners-first) instead of committing to the
 // first fit, and the per-node origin spreads concurrent initiators
-// over disjoint regions of the slot space so their shard sets (and
-// optimistic version checks) rarely collide.
+// over disjoint regions of the slot space so their version checks
+// rarely collide.
 //
 // Unlike PlanPurchaseOn, the maps here were gathered without any lock,
 // so the snapshots may be mutually torn: a slot sold mid-gather can

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/layout"
-	"repro/internal/madeleine"
 	"repro/internal/simtime"
 )
 
@@ -12,27 +11,19 @@ import (
 // the §4.4 protocol's step 2a. The paper funnels every negotiation
 // through one system-wide critical section hosted on node 0; with the
 // gather payload already cut (Config.Gather), that single lock is the
-// remaining serialization point. Two decentralized schemes relax it:
+// remaining serialization point. The decentralized optimistic scheme
+// relaxes it: there is no lock at all. Initiators plan against their
+// gathered (or delta-cached) view and stamp each purchase with the
+// seller's bitmap-journal version that view corresponds to; a seller
+// whose version moved since then declines the stale plan. The initiator
+// gives secured shares back and re-plans after a deterministic
+// per-attempt backoff, within the usual round bound; exhaustion feeds
+// Stats.NegotiationFailures.
 //
-//   - sharded: the slot space is partitioned into contiguous shards
-//     (core.ShardMap), shard s arbitrated by rank s mod n. A
-//     negotiation gathers and plans without any lock, then takes only
-//     the shards its planned run touches — in ascending shard order, so
-//     no cycle of waiters can form — buys, and releases. Disjoint
-//     negotiations hold disjoint shard sets and proceed in parallel.
-//
-//   - optimistic: no lock at all. Initiators plan against their
-//     gathered (or delta-cached) view and stamp each purchase with the
-//     seller's bitmap-journal version that view corresponds to; a
-//     seller whose version moved since then declines the stale plan.
-//     The initiator gives secured shares back and re-plans after a
-//     deterministic per-attempt backoff, within the usual round bound;
-//     exhaustion feeds Stats.NegotiationFailures.
-//
-// Under both schemes a node still runs its *own* negotiations one at a
-// time (a local queue replaces the global one), which keeps the
-// give-back accounting and retry invariants intact; the parallelism is
-// across initiators, which is where the contention was.
+// A node still runs its *own* negotiations one at a time (a local
+// queue replaces the global one), which keeps the give-back accounting
+// and retry invariants intact; the parallelism is across initiators,
+// which is where the contention was.
 
 // ArbiterMode selects the negotiation concurrency scheme.
 type ArbiterMode int
@@ -41,10 +32,6 @@ const (
 	// ArbiterGlobal is the paper-faithful default: one system-wide
 	// critical section hosted on node 0. Every golden trace pins it.
 	ArbiterGlobal ArbiterMode = iota
-	// ArbiterSharded partitions the slot space into shards arbitrated
-	// by rank shard mod n; a negotiation locks only the shards its
-	// planned purchase touches, in canonical ascending order.
-	ArbiterSharded
 	// ArbiterOptimistic takes no lock: purchases are version-stamped
 	// and sellers decline plans computed against a stale bitmap view.
 	ArbiterOptimistic
@@ -52,8 +39,6 @@ const (
 
 func (a ArbiterMode) String() string {
 	switch a {
-	case ArbiterSharded:
-		return "sharded"
 	case ArbiterOptimistic:
 		return "optimistic"
 	}
@@ -66,8 +51,6 @@ func ParseArbiterMode(s string) (ArbiterMode, error) {
 	switch s {
 	case "", "global", "lock":
 		return ArbiterGlobal, nil
-	case "sharded", "shard":
-		return ArbiterSharded, nil
 	case "optimistic", "opt", "occ":
 		return ArbiterOptimistic, nil
 	}
@@ -75,13 +58,7 @@ func ParseArbiterMode(s string) (ArbiterMode, error) {
 }
 
 // ArbiterModeNames lists the canonical arbiter names.
-func ArbiterModeNames() []string { return []string{"global", "sharded", "optimistic"} }
-
-// defaultArbiterShards partitions the 57344-slot space into 3584-slot
-// shards: fine enough that initiators planning in distinct home regions
-// lock disjoint managers, coarse enough that a multi-slot run almost
-// always stays inside one shard.
-const defaultArbiterShards = 16
+func ArbiterModeNames() []string { return []string{"global", "optimistic"} }
 
 // negotiationBackoffBase is the first retry's deterministic delay; each
 // further attempt doubles it. The backoff breaks optimistic livelock —
@@ -97,7 +74,7 @@ func negotiationBackoff(round int) simtime.Time {
 }
 
 // startLocalNegotiation runs fn now, or queues it behind this node's
-// negotiation in flight. The decentralized arbiters drop the global
+// negotiation in flight. The optimistic arbiter drops the global
 // queue on node 0; this local queue preserves the invariant the retry
 // path relies on — one negotiation per node at a time, so give-backs of
 // one round can never interleave with another round's gather.
@@ -123,104 +100,10 @@ func (n *Node) finishLocalNegotiation() {
 }
 
 // homeOrigin returns where this node starts its run search under the
-// decentralized arbiters: the slot space divided into per-rank home
-// regions. Concurrent initiators therefore plan in disjoint regions —
-// disjoint shard sets under the sharded arbiter, non-colliding version
-// checks under the optimistic one — while the wrap-around keeps every
-// slot reachable when a home region is exhausted.
+// optimistic arbiter: the slot space divided into per-rank home
+// regions. Concurrent initiators therefore plan in disjoint regions,
+// so their version checks rarely collide, while the wrap-around keeps
+// every slot reachable when a home region is exhausted.
 func (n *Node) homeOrigin() int {
 	return n.id * (layout.SlotCount / n.c.Nodes())
-}
-
-// withRunLocks acquires the shard locks covering the planned run and
-// then calls then. Under any arbiter but the sharded one it is a
-// pass-through. Shards are acquired strictly one at a time in ascending
-// order — the canonical order every initiator uses, which is the
-// deadlock-freedom argument: the holder of the highest contended shard
-// never waits on a lower one, so it completes and unblocks the rest.
-//
-// With a timeout configured, an unreachable shard manager fails the
-// acquisition instead of hanging the negotiation: the shards already
-// held are released and fail runs (the caller re-plans after a
-// backoff). A grant that outruns the timeout is released the moment it
-// arrives — a manager's lock must never be parked with a waiter that
-// walked away.
-func (n *Node) withRunLocks(start, count int, then, fail func()) {
-	if n.c.cfg.Arbiter != ArbiterSharded {
-		then()
-		return
-	}
-	shards := n.c.shardMap.ShardsOfRun(start, count)
-	var acquire func(i int)
-	acquire = func(i int) {
-		if i == len(shards) {
-			then()
-			return
-		}
-		s := shards[i]
-		mgr := n.c.shardManager(s)
-		n.callRPC(mgr, chShardLock, func(b *madeleine.Buffer) {
-			b.PackU32(uint32(s))
-		}, func(*madeleine.Buffer) {
-			n.heldShards = append(n.heldShards, s)
-			acquire(i + 1)
-		}, func() {
-			n.releaseRunLocks()
-			fail()
-		}, func(*madeleine.Buffer) {
-			n.ep.Send(mgr, chShardUnlock, func(b *madeleine.Buffer) {
-				b.PackU32(uint32(s))
-			})
-		})
-	}
-	acquire(0)
-}
-
-// releaseRunLocks releases every shard lock this node's negotiation
-// holds (one-way, like the global unlock). No-op when none are held.
-func (n *Node) releaseRunLocks() {
-	for _, s := range n.heldShards {
-		shard := s
-		n.ep.Send(n.c.shardManager(shard), chShardUnlock, func(b *madeleine.Buffer) {
-			b.PackU32(uint32(shard))
-		})
-	}
-	n.heldShards = n.heldShards[:0]
-}
-
-// onShardLockCall queues or grants one shard's lock (manager rank only).
-func (n *Node) onShardLockCall(src int, req *madeleine.Call) {
-	s := int(req.Msg.U32())
-	if req.Msg.Err() != nil || s < 0 || s >= n.c.shardMap.Shards() {
-		panic(fmt.Sprintf("pm2: corrupt shard-lock request for shard %d", s))
-	}
-	if n.c.shardManager(s) != n.id {
-		panic(fmt.Sprintf("pm2: shard %d lock request at non-manager node %d", s, n.id))
-	}
-	if n.shardHeld == nil {
-		n.shardHeld = make(map[int]bool)
-		n.shardQueue = make(map[int][]*madeleine.Call)
-	}
-	if n.shardHeld[s] {
-		n.shardQueue[s] = append(n.shardQueue[s], req)
-		return
-	}
-	n.shardHeld[s] = true
-	req.Reply(nil)
-}
-
-// onShardUnlockMsg releases one shard and grants the next waiter in
-// FIFO order (manager rank only).
-func (n *Node) onShardUnlockMsg(src int, msg *madeleine.Buffer) {
-	s := int(msg.U32())
-	if msg.Err() != nil || n.shardHeld == nil || !n.shardHeld[s] {
-		panic(fmt.Sprintf("pm2: unlock of unheld shard %d at node %d", s, n.id))
-	}
-	if q := n.shardQueue[s]; len(q) > 0 {
-		next := q[0]
-		n.shardQueue[s] = q[:copy(q, q[1:])]
-		next.Reply(nil)
-		return
-	}
-	delete(n.shardHeld, s)
 }

@@ -2,6 +2,7 @@ package pm2
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/layout"
@@ -27,16 +28,36 @@ func freeSlotTotal(c *Cluster) int {
 	return total
 }
 
+// TestParseArbiterMode: every accepted name resolves to its mode, and
+// the removed sharded arbiter's names are refused with an error that
+// lists the arbiters this build has.
+func TestParseArbiterMode(t *testing.T) {
+	for name, want := range map[string]ArbiterMode{
+		"": ArbiterGlobal, "global": ArbiterGlobal, "lock": ArbiterGlobal,
+		"optimistic": ArbiterOptimistic, "opt": ArbiterOptimistic, "occ": ArbiterOptimistic,
+	} {
+		got, err := ParseArbiterMode(name)
+		if err != nil || got != want {
+			t.Errorf("ParseArbiterMode(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"sharded", "shard", "bogus"} {
+		if _, err := ParseArbiterMode(name); err == nil || !strings.Contains(err.Error(), "[global optimistic]") {
+			t.Errorf("ParseArbiterMode(%q): error = %v, want one listing [global optimistic]", name, err)
+		}
+	}
+}
+
 // TestArbitersAgreeOnSingleInitiatorOutcome: with a single initiator and
-// a quiet cluster there is nothing to arbitrate, so the sharded and
-// optimistic schemes must reach byte-identical final slot ownership to
-// the paper's global lock — the arbiter changes who may negotiate
+// a quiet cluster there is nothing to arbitrate, so the optimistic
+// scheme must reach byte-identical final slot ownership to the paper's
+// global lock — the arbiter changes who may negotiate
 // concurrently, never what a lone negotiation buys.
 func TestArbitersAgreeOnSingleInitiatorOutcome(t *testing.T) {
 	for _, nodes := range []int{2, 4, 8} {
 		for _, k := range []int{1, 2, 3, 5} {
 			var want []string
-			for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded, ArbiterOptimistic} {
+			for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterOptimistic} {
 				name := fmt.Sprintf("n%d/k%d/%s", nodes, k, arb)
 				c := New(Config{Nodes: nodes, Arbiter: arb}, progs.NewImage())
 				if !negotiateSync(t, c, 0, k) {
@@ -67,7 +88,7 @@ func TestArbitersAgreeOnSingleInitiatorOutcome(t *testing.T) {
 // ownership, it never mints or leaks slots). Two identical runs must
 // agree byte-for-byte — the deterministic-backoff guarantee.
 func TestConcurrentInitiatorsUnderDecentralizedArbiters(t *testing.T) {
-	for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterSharded, ArbiterOptimistic} {
+	for _, arb := range []ArbiterMode{ArbiterGlobal, ArbiterOptimistic} {
 		for _, nodes := range []int{4, 16} {
 			name := fmt.Sprintf("%s/n%d", arb, nodes)
 			run := func() ([]string, Stats) {
@@ -107,78 +128,6 @@ func TestConcurrentInitiatorsUnderDecentralizedArbiters(t *testing.T) {
 					name, sa.NegotiationRetries, sa.VersionDeclines, sb.NegotiationRetries, sb.VersionDeclines)
 			}
 		}
-	}
-}
-
-// TestShardLocksSerializeOverlappingRuns: overlapping runs share a
-// shard, so their lock sets intersect and the purchases serialize;
-// disjoint home regions lock disjoint shards and overlap in time. The
-// test drives the lock layer directly: every acquisition must be
-// granted exactly once, in FIFO order per shard, and the managers must
-// end idle.
-func TestShardLocksSerializeOverlappingRuns(t *testing.T) {
-	c := New(Config{Nodes: 4, Arbiter: ArbiterSharded}, progs.NewImage())
-	shardSize := (layout.SlotCount + defaultArbiterShards - 1) / defaultArbiterShards
-	var order []int
-	// Nodes 1..3 lock runs that all touch shard 2; node 0 locks a run in
-	// shard 5. The shard-2 holders must serialize; shard 5 is independent.
-	for _, id := range []int{1, 2, 3} {
-		nid := id
-		c.At(nid, func(n *Node) {
-			n.withRunLocks(2*shardSize+10*nid, 5, func() {
-				order = append(order, nid)
-				n.releaseRunLocks()
-			}, func() { panic("unexpected shard-lock failure") })
-		})
-	}
-	c.At(0, func(n *Node) {
-		n.withRunLocks(5*shardSize, 3, func() {
-			order = append(order, 0)
-			n.releaseRunLocks()
-		}, func() { panic("unexpected shard-lock failure") })
-	})
-	c.Run(0)
-	if len(order) != 4 {
-		t.Fatalf("grants = %v, want all four negotiations granted", order)
-	}
-	for i := 0; i < c.Nodes(); i++ {
-		n := c.Node(i)
-		if len(n.heldShards) != 0 {
-			t.Fatalf("node %d still holds shards %v", i, n.heldShards)
-		}
-		for s, held := range n.shardHeld {
-			if held {
-				t.Fatalf("manager %d still marks shard %d held", i, s)
-			}
-		}
-	}
-}
-
-// TestShardLockSpanningRuns: a run crossing a shard boundary takes both
-// shards in ascending order, and a contender for either shard waits its
-// turn — the canonical-order acquisition that makes the scheme
-// deadlock-free even when lock sets overlap partially.
-func TestShardLockSpanningRuns(t *testing.T) {
-	c := New(Config{Nodes: 3, Arbiter: ArbiterSharded}, progs.NewImage())
-	shardSize := (layout.SlotCount + defaultArbiterShards - 1) / defaultArbiterShards
-	var order []int
-	// Node 1 spans shards 3-4; node 2 spans shards 4-5: both need shard
-	// 4, so they serialize despite distinct shard sets.
-	c.At(1, func(n *Node) {
-		n.withRunLocks(4*shardSize-2, 4, func() {
-			order = append(order, 1)
-			n.releaseRunLocks()
-		}, func() { panic("unexpected shard-lock failure") })
-	})
-	c.At(2, func(n *Node) {
-		n.withRunLocks(5*shardSize-2, 4, func() {
-			order = append(order, 2)
-			n.releaseRunLocks()
-		}, func() { panic("unexpected shard-lock failure") })
-	})
-	c.Run(0)
-	if len(order) != 2 {
-		t.Fatalf("grants = %v, want both spanning negotiations granted", order)
 	}
 }
 
@@ -246,7 +195,7 @@ func TestOptimisticVersionDecline(t *testing.T) {
 // negotiations must still run one at a time — the second completes
 // after the first, and both succeed.
 func TestLocalNegotiationQueue(t *testing.T) {
-	for _, arb := range []ArbiterMode{ArbiterSharded, ArbiterOptimistic} {
+	for _, arb := range []ArbiterMode{ArbiterOptimistic} {
 		c := New(Config{Nodes: 4, Arbiter: arb}, progs.NewImage())
 		var done []int
 		c.At(0, func(n *Node) {
@@ -282,7 +231,7 @@ func TestLocalNegotiationQueue(t *testing.T) {
 // ownership is conserved.
 func TestDecentralizedArbitersAcrossGathers(t *testing.T) {
 	for _, gather := range []GatherMode{GatherSequential, GatherBatched, GatherTree, GatherDelta} {
-		for _, arb := range []ArbiterMode{ArbiterSharded, ArbiterOptimistic} {
+		for _, arb := range []ArbiterMode{ArbiterOptimistic} {
 			name := fmt.Sprintf("%s/%s", gather, arb)
 			c := New(Config{Nodes: 8, Gather: gather, Arbiter: arb}, progs.NewImage())
 			succeeded := 0

@@ -378,6 +378,11 @@ func RestoreCluster(cfg Config, im *isa.Image, ck *Checkpoint) (*Cluster, error)
 			}
 		}
 	}
+	// An arbiter name this build does not know is refused with the list
+	// of known ones, not reported as a mismatch against cfg.
+	if _, err := ParseArbiterMode(ck.Arbiter); err != nil {
+		return nil, err
+	}
 	// The plan is installed after the clock restore below, not through
 	// NewChecked: installation schedules one ambient barrier per crash
 	// event, and RestoreClock refuses a non-empty engine.

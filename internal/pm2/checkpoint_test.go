@@ -226,4 +226,19 @@ func TestCheckpointRefusals(t *testing.T) {
 			t.Fatalf("arbiter mismatch: error = %v", err)
 		}
 	})
+	t.Run("removed arbiter", func(t *testing.T) {
+		data, _ := runCheckpointed(t, Config{Nodes: 2}, 2*simtime.Millisecond)
+		ck, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck.Arbiter = "sharded"
+		ck, err = DecodeCheckpoint(ck.Encode())
+		if err != nil {
+			t.Fatalf("re-encoded image rejected: %v", err)
+		}
+		if _, err := RestoreCluster(Config{Nodes: 2}, progs.NewImage(), ck); err == nil || !strings.Contains(err.Error(), "[global optimistic]") {
+			t.Fatalf("sharded checkpoint: error = %v, want the unknown-arbiter list", err)
+		}
+	})
 }

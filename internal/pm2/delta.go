@@ -209,13 +209,7 @@ func (n *Node) planAndBuyDelta(k, round int, done func(bool)) {
 		done(false)
 		return
 	}
-	n.withRunLocks(plan.Start, plan.N, func() {
-		n.executePurchase(k, round, plan, done)
-	}, func() {
-		// A shard manager timed out: nothing was secured, re-plan after
-		// the usual backoff.
-		n.retryAfterReturns(k, round, nil, done)
-	})
+	n.executePurchase(k, round, plan, done)
 }
 
 // onBitmapDeltaCall serves the incremental gather: answer with nothing,

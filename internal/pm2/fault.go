@@ -152,17 +152,6 @@ func (c *Cluster) nodeAlive(i int) bool {
 // whole subtree.
 func (c *Cluster) anyDown() bool { return c.nDown > 0 || c.nSuspected > 0 }
 
-// shardManager returns the live manager rank of shard s: the canonical
-// shard-mod-n owner, rerouted past declared-dead ranks so the sharded
-// arbiter keeps arbitrating across a failover.
-func (c *Cluster) shardManager(s int) int {
-	m := c.shardMap.Manager(s, c.Nodes())
-	if c.down != nil && c.down[m] {
-		m = c.pol.NextLive(m)
-	}
-	return m
-}
-
 // HeartbeatTick runs one failure-detection round. Ambient contexts only
 // (the balancer round, a test driver) — suspicion, rejoin and
 // declaration are barriers that touch every lane's state. No-op on a

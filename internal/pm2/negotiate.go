@@ -75,10 +75,10 @@ func (n *Node) negotiate(k int, done func(bool)) {
 		}, func() { finish(false) })
 		return
 	}
-	// Decentralized arbiters: no system-wide section. The node's own
+	// Optimistic arbiter: no system-wide section. The node's own
 	// negotiations still run one at a time through the local queue;
-	// locking (sharded) or validation (optimistic) happens per round,
-	// after planning — see arbiter.go.
+	// version validation happens per round, at purchase time — see
+	// arbiter.go.
 	n.startLocalNegotiation(func() {
 		n.negotiateRound(k, 0, func(ok bool) {
 			n.finishLocalNegotiation()
@@ -397,8 +397,8 @@ func (n *Node) sellerVersion(peer int) uint64 {
 	return n.gatherVersions[peer]
 }
 
-// purchaseCandidates bounds how many runs the decentralized planners
-// enumerate before ranking them fewest-owners-first.
+// purchaseCandidates bounds how many runs the optimistic planner
+// enumerates before ranking them fewest-owners-first.
 const purchaseCandidates = 4
 
 // planAndBuy computes the purchase and executes it (paper steps 2c–2e).
@@ -419,13 +419,7 @@ func (n *Node) planAndBuyOr(k, round int, maps []*bitmap.Bitmap, done func(bool)
 		planFail()
 		return
 	}
-	n.withRunLocks(plan.Start, plan.N, func() {
-		n.executePurchase(k, round, plan, done)
-	}, func() {
-		// A shard manager timed out: nothing was secured, re-plan after
-		// the usual backoff.
-		n.retryAfterReturns(k, round, nil, done)
-	})
+	n.executePurchase(k, round, plan, done)
 }
 
 // planOn chooses the purchase plan on a prepared global view,
@@ -440,11 +434,10 @@ func (n *Node) planOn(global *bitmap.Bitmap, maps []*bitmap.Bitmap, k int) (core
 }
 
 // planRun plans one purchase of k slots. The global arbiter keeps the
-// paper's first fit verbatim; the decentralized arbiters search from
-// this node's home origin and rank a handful of candidate runs
+// paper's first fit verbatim; the optimistic arbiter searches from
+// this node's home origin, ranks a handful of candidate runs
 // fewest-owners-first through the cost model (internal/policy), then
-// stamp each seller share with the bitmap version the plan saw when
-// running optimistically.
+// stamps each seller share with the bitmap version the plan saw.
 func (n *Node) planRun(global *bitmap.Bitmap, maps []*bitmap.Bitmap, k int) (core.Purchase, bool) {
 	if n.c.cfg.Arbiter == ArbiterGlobal {
 		return core.PlanPurchaseOn(global, maps, k, n.id)
@@ -454,10 +447,8 @@ func (n *Node) planRun(global *bitmap.Bitmap, maps []*bitmap.Bitmap, k int) (cor
 		return core.Purchase{}, false
 	}
 	plan := cands[policy.CheapestPurchase(cands, n.c.cfg.Model)]
-	if n.c.cfg.Arbiter == ArbiterOptimistic {
-		for i := range plan.Sellers {
-			plan.Sellers[i].Version = n.sellerVersion(plan.Sellers[i].Node)
-		}
+	for i := range plan.Sellers {
+		plan.Sellers[i].Version = n.sellerVersion(plan.Sellers[i].Node)
 	}
 	return plan, true
 }
@@ -502,7 +493,6 @@ func (n *Node) executePurchase(k, round int, plan core.Purchase, done func(bool)
 					panic(fmt.Sprintf("pm2: recording purchase: %v", err))
 				}
 			}
-			n.releaseRunLocks()
 			done(true)
 			return
 		}
@@ -574,15 +564,13 @@ type pendingReturn struct {
 
 // retryAfterReturns gives every secured share back and re-runs the round
 // only after all give-back replies arrived (the §4.4 retry/give-back
-// ordering fix). Any shard locks the failed plan held are released
-// first — the retry re-plans and may touch different shards — and the
-// re-run waits out a deterministic per-attempt backoff, so two
-// optimistic initiators declining each other's purchases re-plan at
-// different virtual times instead of re-colliding forever, and the
-// attempt count of any race is reproducible run to run.
+// ordering fix). Under the optimistic arbiter the re-run waits out a
+// deterministic per-attempt backoff, so two initiators declining each
+// other's purchases re-plan at different virtual times instead of
+// re-colliding forever, and the attempt count of any race is
+// reproducible run to run.
 func (n *Node) retryAfterReturns(k, round int, returns []pendingReturn, done func(bool)) {
 	n.actor.Commit(func() { n.c.stats.NegotiationRetries++ })
-	n.releaseRunLocks()
 	retry := func() {
 		if n.c.cfg.Arbiter == ArbiterGlobal {
 			// Under the system-wide lock a retry can only be racing a
@@ -620,7 +608,7 @@ func (n *Node) retryAfterReturns(k, round int, returns []pendingReturn, done fun
 func (n *Node) planAndBuyRange(k, round int, global *bitmap.Bitmap, useHints, pruned bool, done func(bool)) {
 	n.actor.Charge(n.c.cfg.Model.BitmapScan(layout.BitmapBytes))
 	// The merged map has no per-slot ownership, so fewest-owners ranking
-	// is impossible here; the decentralized arbiters still search from
+	// is impossible here; the optimistic arbiter still searches from
 	// the node's home origin (wrapping) to keep concurrent initiators in
 	// disjoint regions.
 	find := func(size int) int {
@@ -683,7 +671,6 @@ func (n *Node) planAndBuyRange(k, round int, global *bitmap.Bitmap, useHints, pr
 					}
 				}
 			}
-			n.releaseRunLocks()
 			done(true)
 			return
 		}
@@ -697,55 +684,49 @@ func (n *Node) planAndBuyRange(k, round int, global *bitmap.Bitmap, useHints, pr
 		}
 		n.retryAfterReturns(k, round, returns, done)
 	}
-	n.withRunLocks(start, size, func() {
-		if len(peers) == 0 {
-			complete()
-			return
-		}
-		outstanding := len(peers)
-		for _, peer := range peers {
-			p := peer
-			n.callRPC(p, chBuy, func(b *madeleine.Buffer) {
-				b.PackU32(opRangeBuy)
-				b.PackU32(uint32(start)).PackU32(uint32(size))
-			}, func(reply *madeleine.Buffer) {
-				count := int(reply.U32())
-				for i := 0; i < count; i++ {
-					s := int(reply.U32())
-					c := int(reply.U32())
-					sold[p] = append(sold[p], core.SellerShare{Node: p, Start: s, N: c})
-				}
-				outstanding--
-				if outstanding == 0 {
-					complete()
-				}
-			}, func() {
-				// Timeout reads as zero runs sold; the coverage check in
-				// complete() handles any shortfall.
-				outstanding--
-				if outstanding == 0 {
-					complete()
-				}
-			}, func(reply *madeleine.Buffer) {
-				// The peer did sell after all, to a buyer that already
-				// counted it as zero: return the orphaned runs at once.
-				count := int(reply.U32())
-				var orphans []core.SellerShare
-				for i := 0; i < count; i++ {
-					s := int(reply.U32())
-					c := int(reply.U32())
-					orphans = append(orphans, core.SellerShare{Node: p, Start: s, N: c})
-				}
-				if len(orphans) > 0 {
-					n.compGiveBack(p, orphans)
-				}
-			})
-		}
-	}, func() {
-		// A shard manager timed out: nothing was secured, re-plan after
-		// the usual backoff.
-		n.retryAfterReturns(k, round, nil, done)
-	})
+	if len(peers) == 0 {
+		complete()
+		return
+	}
+	outstanding := len(peers)
+	for _, peer := range peers {
+		p := peer
+		n.callRPC(p, chBuy, func(b *madeleine.Buffer) {
+			b.PackU32(opRangeBuy)
+			b.PackU32(uint32(start)).PackU32(uint32(size))
+		}, func(reply *madeleine.Buffer) {
+			count := int(reply.U32())
+			for i := 0; i < count; i++ {
+				s := int(reply.U32())
+				c := int(reply.U32())
+				sold[p] = append(sold[p], core.SellerShare{Node: p, Start: s, N: c})
+			}
+			outstanding--
+			if outstanding == 0 {
+				complete()
+			}
+		}, func() {
+			// Timeout reads as zero runs sold; the coverage check in
+			// complete() handles any shortfall.
+			outstanding--
+			if outstanding == 0 {
+				complete()
+			}
+		}, func(reply *madeleine.Buffer) {
+			// The peer did sell after all, to a buyer that already
+			// counted it as zero: return the orphaned runs at once.
+			count := int(reply.U32())
+			var orphans []core.SellerShare
+			for i := 0; i < count; i++ {
+				s := int(reply.U32())
+				c := int(reply.U32())
+				orphans = append(orphans, core.SellerShare{Node: p, Start: s, N: c})
+			}
+			if len(orphans) > 0 {
+				n.compGiveBack(p, orphans)
+			}
+		})
+	}
 }
 
 func packShares(b *madeleine.Buffer, shares []core.SellerShare) {

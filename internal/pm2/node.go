@@ -30,8 +30,6 @@ const (
 
 	chGatherTree  uint32 = 10 // call: OR-merge and return a binomial subtree's bitmaps
 	chBitmapDelta uint32 = 11 // call: bitmap changes since a cached version (delta gather)
-	chShardLock   uint32 = 12 // call to shard manager: one shard of the sharded arbiter
-	chShardUnlock uint32 = 13 // one-way to shard manager
 	chConvoy      uint32 = 14 // one-way: zero-copy thread convoy (Config.Convoy)
 )
 
@@ -65,17 +63,11 @@ type Node struct {
 	lockHeld  bool
 	lockQueue []*madeleine.Call
 
-	// Sharded-arbiter state. shardHeld/shardQueue are the manager half
-	// for shards with shard mod n == id (allocated lazily on first
-	// lock); heldShards lists the shards this node's own in-flight
-	// negotiation has locked. negBusy/negQueue serialize this node's
-	// own negotiations under the decentralized arbiters, replacing the
-	// global queue on node 0 (see arbiter.go).
-	shardHeld  map[int]bool
-	shardQueue map[int][]*madeleine.Call
-	heldShards []int
-	negBusy    bool
-	negQueue   []func()
+	// negBusy/negQueue serialize this node's own negotiations under the
+	// optimistic arbiter, replacing the global queue on node 0 (see
+	// arbiter.go).
+	negBusy  bool
+	negQueue []func()
 
 	// Lane-affine gather-hint state (batched/tree gathers; see
 	// gather.go). hintEmpty is the initiator half: this node's belief,
@@ -205,8 +197,6 @@ func newNode(c *Cluster, id int) *Node {
 	n.ep.HandleCall(chBuy, n.onBuyCall)
 	n.ep.HandleCall(chGatherTree, n.onGatherTreeCall)
 	n.ep.HandleCall(chBitmapDelta, n.onBitmapDeltaCall)
-	n.ep.HandleCall(chShardLock, n.onShardLockCall)
-	n.ep.Handle(chShardUnlock, n.onShardUnlockMsg)
 	n.ep.HandleCall(chSurrender, n.onSurrenderCall)
 	n.ep.HandleCall(chInstall, n.onInstallCall)
 	return n

@@ -60,7 +60,7 @@ func TestParallelClusterMatchesSerial(t *testing.T) {
 // windowed parallel executor.
 func TestParallelGatherMatrix(t *testing.T) {
 	gathers := []GatherMode{GatherSequential, GatherBatched, GatherTree, GatherDelta}
-	arbiters := []ArbiterMode{ArbiterGlobal, ArbiterSharded, ArbiterOptimistic}
+	arbiters := []ArbiterMode{ArbiterGlobal, ArbiterOptimistic}
 	for _, gather := range gathers {
 		for _, arbiter := range arbiters {
 			gather, arbiter := gather, arbiter
@@ -99,7 +99,10 @@ func TestConfigValidate(t *testing.T) {
 		{Nodes: 0},
 		{Nodes: -3},
 		{Nodes: 4, Workers: -1},
-		{Nodes: 4, ArbiterShards: -2},
+		{Nodes: 4, Arbiter: ArbiterMode(7)},
+		{Nodes: 4, Arbiter: ArbiterMode(-1)},
+		{Nodes: 4, Gather: GatherMode(9)},
+		{Nodes: 4, Arbiter: ArbiterMode(7), Gather: GatherMode(9)},
 		{Nodes: 4, PreBuySlots: -1},
 	}
 	for _, cfg := range bad {

@@ -100,15 +100,10 @@ type Config struct {
 	// the bitmap words changed since the initiator's cached view).
 	Gather GatherMode
 	// Arbiter selects the negotiation concurrency scheme:
-	// ArbiterGlobal (the paper's node-0 system-wide lock, the default),
-	// ArbiterSharded (per-shard locks spread over the ranks, taken in
-	// canonical order for only the shards a planned purchase touches)
+	// ArbiterGlobal (the paper's node-0 system-wide lock, the default)
 	// or ArbiterOptimistic (no lock; version-stamped purchases that
 	// sellers validate against their bitmap journal). See arbiter.go.
 	Arbiter ArbiterMode
-	// ArbiterShards overrides the shard count of the sharded arbiter
-	// (default 16).
-	ArbiterShards int
 	// Placement is the thread-placement policy: Spawn preferences route
 	// through it, and an attached load balancer (internal/loadbal)
 	// shares its state. Default policy.NewNegotiation(), which never
@@ -267,8 +262,6 @@ type Cluster struct {
 	log   *trace.Log
 	pol   *policy.Engine
 	stats Stats
-	// shardMap partitions the slot space for the sharded arbiter.
-	shardMap core.ShardMap
 	// allocSamples records allocation latencies when cfg.RecordAllocs.
 	allocSamples []AllocSample
 	// bufPool recycles outgoing Madeleine buffers across all of the
@@ -315,8 +308,11 @@ func (cfg Config) Validate() error {
 	if cfg.Workers < 0 {
 		return fmt.Errorf("pm2: negative kernel worker count %d", cfg.Workers)
 	}
-	if cfg.ArbiterShards < 0 {
-		return fmt.Errorf("pm2: negative arbiter shard count %d", cfg.ArbiterShards)
+	if cfg.Gather < GatherSequential || cfg.Gather > GatherDelta {
+		return fmt.Errorf("pm2: unknown gather strategy %d (have %v)", int(cfg.Gather), GatherModeNames())
+	}
+	if cfg.Arbiter < ArbiterGlobal || cfg.Arbiter > ArbiterOptimistic {
+		return fmt.Errorf("pm2: unknown arbiter %d (have %v)", int(cfg.Arbiter), ArbiterModeNames())
 	}
 	if cfg.PreBuySlots < 0 {
 		return fmt.Errorf("pm2: negative pre-buy slot count %d", cfg.PreBuySlots)
@@ -368,9 +364,6 @@ func NewChecked(cfg Config, im *isa.Image) (*Cluster, error) {
 	if cfg.Placement == nil {
 		cfg.Placement = policy.NewNegotiation()
 	}
-	if cfg.ArbiterShards == 0 {
-		cfg.ArbiterShards = defaultArbiterShards
-	}
 	if cfg.HeartbeatMisses == 0 {
 		cfg.HeartbeatMisses = 2
 	}
@@ -388,7 +381,6 @@ func NewChecked(cfg Config, im *isa.Image) (*Cluster, error) {
 		c.eng.SetParallel(cfg.Workers, simtime.Time(cfg.Model.WireLatencyNs))
 	}
 	c.pol = policy.NewEngine(cfg.Placement, cfg.Nodes)
-	c.shardMap = core.NewShardMap(layout.SlotCount, cfg.ArbiterShards)
 	c.bufPool = madeleine.NewPool()
 	c.versionDeclines = make([]int, cfg.Nodes)
 	c.nw = bip.NewNetwork(c.eng, cfg.Model, cfg.Nodes)

@@ -6,18 +6,18 @@ import (
 	"repro/internal/simtime"
 )
 
-// Purchase-plan ranking for the decentralized negotiation arbiters.
+// Purchase-plan ranking for the decentralized (optimistic) negotiation
+// arbiter.
 //
 // The paper's protocol commits to the first-fit run of the global OR,
 // which under a shared lock is harmless: nobody else is negotiating, so
 // the only cost dimension is the run itself. Once negotiations run
-// concurrently (sharded or optimistic arbiter), the *shape* of the plan
-// matters: every distinct seller is one more purchase round trip, one
-// more bitmap whose version can move underneath an optimistic plan, and
-// one more node whose shard may be contended. The planner therefore
-// ranks candidate runs fewest-owners-first, priced through the cost
-// model, and keeps scan order (locality: the candidate nearest the
-// initiator's home region) as the tie-break.
+// concurrently (optimistic arbiter), the *shape* of the plan matters:
+// every distinct seller is one more purchase round trip and one more
+// bitmap whose version can move underneath the plan. The planner
+// therefore ranks candidate runs fewest-owners-first, priced through
+// the cost model, and keeps scan order (locality: the candidate nearest
+// the initiator's home region) as the tie-break.
 
 // purchaseWireBytes approximates the purchase message footprint per
 // seller: the op word, version stamp, share count and one packed share.

@@ -120,14 +120,13 @@ func TestGoldenTracesDeltaGather(t *testing.T) {
 }
 
 // TestGoldenTracesArbiters pins the contention-heavy workload under the
-// decentralized negotiation arbiters at 16 nodes: the sharded lock
-// order, the optimistic version declines and the deterministic retry
-// backoff must all be byte-identically reproducible under every
-// policy. (The global-arbiter goldens above are untouched by the
-// arbiter machinery — it is fully off under the paper-faithful
-// default.)
+// decentralized (optimistic) negotiation arbiter at 16 nodes: the
+// version declines and the deterministic retry backoff must be
+// byte-identically reproducible under every policy. (The global-arbiter
+// goldens above are untouched by the arbiter machinery — it is fully
+// off under the paper-faithful default.)
 func TestGoldenTracesArbiters(t *testing.T) {
-	for _, arb := range []string{"sharded", "optimistic"} {
+	for _, arb := range []string{"optimistic"} {
 		for _, p := range policy.Names() {
 			name := fmt.Sprintf("contend_%s_%s_n16", p, arb)
 			t.Run(name, func(t *testing.T) {

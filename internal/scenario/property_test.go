@@ -65,7 +65,7 @@ func TestScenariosScaleWithClusterSize(t *testing.T) {
 // byte-identically reproducible — the deterministic-backoff guarantee
 // under real contention.
 func TestContendAcrossArbiters(t *testing.T) {
-	for _, arb := range []string{"sharded", "optimistic"} {
+	for _, arb := range []string{"optimistic"} {
 		for _, gather := range []string{"sequential", "batched", "tree", "delta"} {
 			for _, p := range policy.Names() {
 				name := fmt.Sprintf("%s/%s/%s", arb, gather, p)

@@ -18,7 +18,7 @@ func TestWorkersIdentity(t *testing.T) {
 		spec   Spec
 		golden string
 	}{
-		{Spec{Scenario: "contend", Policy: "negotiation", Nodes: 16, Arbiter: "sharded"}, "contend_negotiation_sharded_n16"},
+		{Spec{Scenario: "contend", Policy: "negotiation", Nodes: 16, Arbiter: "optimistic"}, "contend_negotiation_optimistic_n16"},
 		{Spec{Scenario: "negostress", Policy: "negotiation", Nodes: 16}, "negostress_negotiation_n16"},
 		{Spec{Scenario: "serve", Policy: "negotiation"}, "serve_negotiation"},
 	}
@@ -76,7 +76,7 @@ func TestWorkersGatherMatrix(t *testing.T) {
 	cases := []struct{ gather, arbiter string }{
 		{"sequential", "global"},
 		{"batched", "global"},
-		{"batched", "sharded"},
+		{"batched", "optimistic"},
 		{"tree", "global"},
 		{"tree", "optimistic"},
 		{"delta", "optimistic"},

@@ -41,13 +41,12 @@
 // The §4.4 slot negotiation has two orthogonal knobs. Config.Gather
 // picks how the initiator collects peer bitmaps ("sequential",
 // "batched", "tree", "delta"); Config.Arbiter picks the concurrency
-// scheme — "global" (the paper's single node-0 lock), "sharded"
-// (per-shard locks taken in canonical order, so disjoint negotiations
-// run in parallel) or "optimistic" (no lock; version-stamped purchases
-// that sellers validate against their bitmap journal, with
-// deterministic backoff on decline):
+// scheme — "global" (the paper's single node-0 lock) or "optimistic"
+// (no lock; version-stamped purchases that sellers validate against
+// their bitmap journal, with deterministic backoff on decline, so
+// disjoint negotiations run in parallel):
 //
-//	cl := sys.Boot(pm2.Config{Nodes: 16, Gather: "delta", Arbiter: "sharded"})
+//	cl := sys.Boot(pm2.Config{Nodes: 16, Gather: "delta", Arbiter: "optimistic"})
 //
 // # Fault tolerance and checkpoint/restore
 //
@@ -150,13 +149,10 @@ type Config struct {
 	// cached view). See ParseGather for the accepted aliases.
 	Gather string
 	// Arbiter selects the negotiation concurrency scheme: "global"
-	// (default — the paper's system-wide critical section on node 0),
-	// "sharded" (the slot space is partitioned into shards arbitrated
-	// by rank shard mod n; a negotiation locks only the shards its
-	// planned purchase touches, in canonical order) or "optimistic"
-	// (no lock; purchases are version-stamped and sellers decline plans
-	// computed against a stale bitmap view). See ParseArbiter for the
-	// accepted aliases.
+	// (default — the paper's system-wide critical section on node 0)
+	// or "optimistic" (no lock; purchases are version-stamped and
+	// sellers decline plans computed against a stale bitmap view). See
+	// ParseArbiter for the accepted aliases.
 	Arbiter string
 	// Convoy enables the zero-copy scatter-gather migration pipeline:
 	// migrations hand their slot spans to the NIC as a gather list (no
@@ -252,8 +248,8 @@ func (c Config) toInternal() ipm2.Config {
 }
 
 // ParseArbiter validates a negotiation-arbiter name and returns its
-// canonical form. Accepted: "global" ("lock", ""), "sharded" ("shard"),
-// "optimistic" ("opt", "occ").
+// canonical form. Accepted: "global" ("lock", ""), "optimistic"
+// ("opt", "occ").
 func ParseArbiter(s string) (string, error) {
 	a, err := ipm2.ParseArbiterMode(s)
 	if err != nil {

@@ -3,6 +3,8 @@ package pm2
 import (
 	"strings"
 	"testing"
+
+	ipm2 "repro/internal/pm2"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -217,6 +219,29 @@ func TestPublicCheckpointRestore(t *testing.T) {
 	}
 	if err := rc.Validate(); err != nil {
 		t.Fatalf("restored cluster invariants: %v", err)
+	}
+}
+
+// TestRestoreRefusesRemovedArbiter: an image naming the removed
+// sharded arbiter is refused with the unknown-arbiter error, never a
+// panic.
+func TestRestoreRefusesRemovedArbiter(t *testing.T) {
+	sys := NewSystem()
+	sys.RegisterExamples()
+	cl := sys.Boot(Config{Nodes: 4})
+	cl.Spawn(0, "p4", 1000)
+	cl.RunForMicros(500)
+	data, err := cl.CheckpointBytes()
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	ck, err := ipm2.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Arbiter = "sharded"
+	if _, err := sys.Restore(ck.Encode()); err == nil || !strings.Contains(err.Error(), "[global optimistic]") {
+		t.Fatalf("restore: error = %v, want the unknown-arbiter list", err)
 	}
 }
 
