@@ -86,25 +86,25 @@ func TestNegotiationScalingBench(t *testing.T) {
 	}
 }
 
-// TestWarmDeltaSlopeBelowBatched pins the delta gather's headline: on
+// TestWarmDeltaSlopeBelowSequential pins the delta gather's headline: on
 // the steady-state measurement (second negotiation by the same
-// initiator) its per-node slope must sit strictly below the batched
+// initiator) its per-node slope must sit strictly below the sequential
 // gather's, and its warm rounds must merge only delta bytes instead of
 // a full map per peer.
-func TestWarmDeltaSlopeBelowBatched(t *testing.T) {
+func TestWarmDeltaSlopeBelowSequential(t *testing.T) {
 	counts := []int{4, 8, 16}
-	bat := NegotiationScalingGatherWarm(counts, pm2.GatherBatched)
+	seq := NegotiationScalingGatherWarm(counts, pm2.GatherSequential)
 	del := NegotiationScalingGatherWarm(counts, pm2.GatherDelta)
-	batSlope, delSlope := SlopeMicrosPerNode(bat), SlopeMicrosPerNode(del)
-	if delSlope <= 0 || delSlope >= batSlope {
-		t.Fatalf("warm delta slope %.1f µs/node not strictly below batched %.1f", delSlope, batSlope)
+	seqSlope, delSlope := SlopeMicrosPerNode(seq), SlopeMicrosPerNode(del)
+	if delSlope <= 0 || delSlope >= seqSlope {
+		t.Fatalf("warm delta slope %.1f µs/node not strictly below sequential %.1f", delSlope, seqSlope)
 	}
-	// Both negotiations under batched merge full maps; delta pays full
+	// Both negotiations under sequential merge full maps; delta pays full
 	// maps once (first contact) and words after that.
 	last := len(counts) - 1
-	if del[last].MergedBytes >= bat[last].MergedBytes*3/4 {
-		t.Fatalf("delta merged %d bytes, not well below batched's %d",
-			del[last].MergedBytes, bat[last].MergedBytes)
+	if del[last].MergedBytes >= seq[last].MergedBytes*3/4 {
+		t.Fatalf("delta merged %d bytes, not well below sequential's %d",
+			del[last].MergedBytes, seq[last].MergedBytes)
 	}
 }
 
@@ -187,7 +187,7 @@ func TestRegisteredPointerAblation(t *testing.T) {
 func TestContentionDecentralizedArbitersWin(t *testing.T) {
 	arbs := []pm2.ArbiterMode{pm2.ArbiterGlobal, pm2.ArbiterOptimistic}
 	for _, m := range []int{4, 8} {
-		rows := Contention(16, m, arbs, pm2.GatherBatched)
+		rows := Contention(16, m, arbs, pm2.GatherDelta)
 		byName := map[string]ContentionRow{}
 		for _, r := range rows {
 			if r.Succeeded != m {

@@ -132,10 +132,8 @@ type NodeSlots struct {
 	stats      SlotStats
 	// onChange, when set, runs after every mutation of the ownership
 	// bitmap with the bit range [start, start+n) that changed. The
-	// runtime uses it to fan emptiness-hint invalidations out to peers
-	// that were told this node owned nothing (the lane-affine hints of
-	// the batched/tree gathers) and to feed the delta-gather
-	// dirty-word journal.
+	// runtime uses it to feed the dirty-word journal that the delta
+	// gather and the optimistic arbiter read.
 	onChange func(start, n int)
 }
 

@@ -255,7 +255,6 @@ func (c *Cluster) Checkpoint() (*Checkpoint, error) {
 		// Derived gather state is rebuilt, not serialized: clear it on
 		// the live cluster so the in-process continuation re-learns it
 		// exactly like a restored one.
-		d.hintEmpty, d.emptyTold, d.emptyToldAny = nil, nil, false
 		d.gatherVersions = nil
 		d.deltaPeers, d.deltaOr = nil, nil
 		if d.journal != nil {
@@ -378,9 +377,12 @@ func RestoreCluster(cfg Config, im *isa.Image, ck *Checkpoint) (*Cluster, error)
 			}
 		}
 	}
-	// An arbiter name this build does not know is refused with the list
-	// of known ones, not reported as a mismatch against cfg.
+	// An arbiter or gather name this build does not know is refused with
+	// the list of known ones, not reported as a mismatch against cfg.
 	if _, err := ParseArbiterMode(ck.Arbiter); err != nil {
+		return nil, err
+	}
+	if _, err := ParseGatherMode(ck.Gather); err != nil {
 		return nil, err
 	}
 	// The plan is installed after the clock restore below, not through

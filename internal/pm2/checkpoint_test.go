@@ -226,19 +226,30 @@ func TestCheckpointRefusals(t *testing.T) {
 			t.Fatalf("arbiter mismatch: error = %v", err)
 		}
 	})
-	t.Run("removed arbiter", func(t *testing.T) {
-		data, _ := runCheckpointed(t, Config{Nodes: 2}, 2*simtime.Millisecond)
-		ck, err := DecodeCheckpoint(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck.Arbiter = "sharded"
-		ck, err = DecodeCheckpoint(ck.Encode())
-		if err != nil {
-			t.Fatalf("re-encoded image rejected: %v", err)
-		}
-		if _, err := RestoreCluster(Config{Nodes: 2}, progs.NewImage(), ck); err == nil || !strings.Contains(err.Error(), "[global optimistic]") {
-			t.Fatalf("sharded checkpoint: error = %v, want the unknown-arbiter list", err)
-		}
-	})
+	// A checkpoint naming a mode this build removed is refused with the
+	// list of known names, not reported as a config mismatch.
+	for _, tc := range []struct {
+		name string
+		edit func(ck *Checkpoint)
+		want string
+	}{
+		{"removed arbiter", func(ck *Checkpoint) { ck.Arbiter = "sharded" }, "[global optimistic]"},
+		{"removed gather", func(ck *Checkpoint) { ck.Gather = "batched" }, "[sequential tree delta]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, _ := runCheckpointed(t, Config{Nodes: 2}, 2*simtime.Millisecond)
+			ck, err := DecodeCheckpoint(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(ck)
+			ck, err = DecodeCheckpoint(ck.Encode())
+			if err != nil {
+				t.Fatalf("re-encoded image rejected: %v", err)
+			}
+			if _, err := RestoreCluster(Config{Nodes: 2}, progs.NewImage(), ck); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want the list %s", err, tc.want)
+			}
+		})
+	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // The delta gather (Config.Gather == GatherDelta): incremental,
-// version-stamped bitmap exchange. PR 2's batched and tree gathers cut
-// the wire term of the §4.4 negotiation, but the initiator still merges
-// a full 7 KB map per peer per round. Here every node version-stamps its
+// version-stamped bitmap exchange. The tree gather cuts the wire term of
+// the §4.4 negotiation, but every full-map gather still merges a full
+// 7 KB map per peer per round. Here every node version-stamps its
 // slot bitmap and journals the 64-bit words each ownership mutation
 // dirtied (bitmap.Journal, fed from NodeSlots.SetOnChange); a
 // negotiation initiator caches each peer's last-seen map plus version
@@ -25,16 +25,14 @@ import (
 //     place, charging merge cost on the delta bytes only;
 //   - a full map — first contact, or the bounded journal truncated; the
 //     cached view is replaced and the global OR rebuilt, at the same
-//     cost a batched gather pays every round.
+//     cost a full-map gather pays every round.
 //
 // Because every ownership mutation — local allocation, purchase,
 // give-back, defragmentation install — bumps the owner's version, a
 // cached view can never silently claim a slot the owner no longer has
 // free: the next request's version mismatch ships the correction. The
-// delta gather deliberately contacts every peer each round instead of
-// hint-skipping: the "unchanged" reply is the pruning (a skipped peer's
-// view would go stale and could plan doomed purchases forever), and it
-// keeps every cached view coherent.
+// delta gather contacts every peer each round: the "unchanged" reply is
+// the pruning, and it keeps every cached view coherent.
 
 // deltaJournalWords bounds the per-node dirty-word journal. 64 words
 // cover 4096 slots' worth of churn between two contacts by the same
@@ -188,8 +186,7 @@ func (n *Node) rebuildGlobalOr() {
 
 // planAndBuyDelta plans the purchase on the cached global view — own
 // bitmap merged fresh, it is local and always current — and executes it
-// through the same per-owner purchase path as the sequential and batched
-// gathers, so declines and give-backs retry identically (and the retry's
+// through the same per-owner purchase path as the sequential gather, so declines and give-backs retry identically (and the retry's
 // re-gather ships only the deltas the failed round caused).
 func (n *Node) planAndBuyDelta(k, round int, done func(bool)) {
 	// First-fit search over the global map (step 2d).
@@ -246,7 +243,7 @@ func (n *Node) onBitmapDeltaCall(src int, req *madeleine.Call) {
 		}
 	}
 	// First contact, or the journal truncated past the caller's version:
-	// fall back to the full map, exactly as a batched gather ships it.
+	// fall back to the full map, exactly as a full-map gather ships it.
 	raw := n.slots.Bitmap().Bytes()
 	n.actor.Charge(n.c.cfg.Model.Memcpy(len(raw)))
 	req.Reply(func(b *madeleine.Buffer) {

@@ -9,10 +9,11 @@ import (
 )
 
 // TestDeltaGatherWarmRoundsShipDeltas is the point of the delta gather:
-// the first negotiation pays the batched price (full maps, first
-// contact), but from the second on the same initiator merges only the
-// words that changed — orders of magnitude fewer bytes, and measurably
-// less virtual time than a batched gather spends on the same workload.
+// the first negotiation pays full maps (first contact), but from the
+// second on the same initiator merges only the words that changed —
+// orders of magnitude fewer bytes, and measurably less virtual time than
+// the sequential gather, which ships full maps every round, spends on
+// the same workload.
 func TestDeltaGatherWarmRoundsShipDeltas(t *testing.T) {
 	run := func(gather GatherMode) (second simtime.Time, merged uint64) {
 		c := New(Config{Nodes: 8, Gather: gather}, progs.NewImage())
@@ -31,22 +32,22 @@ func TestDeltaGatherWarmRoundsShipDeltas(t *testing.T) {
 		}
 		return st.NegotiationLatencies[1], st.GatherMergedBytes
 	}
-	batSecond, batMerged := run(GatherBatched)
+	seqSecond, seqMerged := run(GatherSequential)
 	delSecond, delMerged := run(GatherDelta)
 
-	// Both negotiations under batched merge a full map per peer: 2×7×7 KB.
-	if want := uint64(2 * 7 * layout.BitmapBytes); batMerged != want {
-		t.Fatalf("batched merged %d bytes, want %d", batMerged, want)
+	// Both negotiations under sequential merge a full map per peer: 2×7×7 KB.
+	if want := uint64(2 * 7 * layout.BitmapBytes); seqMerged != want {
+		t.Fatalf("sequential merged %d bytes, want %d", seqMerged, want)
 	}
 	// Delta pays full maps once (first contact), then only dirty words.
-	if delMerged >= batMerged*3/4 {
-		t.Fatalf("delta merged %d bytes, not well below batched's %d", delMerged, batMerged)
+	if delMerged >= seqMerged*3/4 {
+		t.Fatalf("delta merged %d bytes, not well below sequential's %d", delMerged, seqMerged)
 	}
 	if warmDelta := delMerged - 7*uint64(layout.BitmapBytes); warmDelta > 7*4*deltaWordWireBytes {
 		t.Fatalf("warm delta round merged %d bytes — views are not incremental", warmDelta)
 	}
-	if delSecond >= batSecond {
-		t.Fatalf("warm delta negotiation (%v) not cheaper than batched (%v)", delSecond, batSecond)
+	if delSecond >= seqSecond {
+		t.Fatalf("warm delta negotiation (%v) not cheaper than sequential (%v)", delSecond, seqSecond)
 	}
 }
 

@@ -147,9 +147,9 @@ func (c *Cluster) nodeAlive(i int) bool {
 }
 
 // anyDown reports whether any rank is declared dead or suspected. The
-// tree gather falls back to the batched topology then — a combining tree
-// through an unreachable interior node would stall (or time out) its
-// whole subtree.
+// tree gather falls back to one flat round of concurrent Calls then — a
+// combining tree through an unreachable interior node would stall (or
+// time out) its whole subtree.
 func (c *Cluster) anyDown() bool { return c.nDown > 0 || c.nSuspected > 0 }
 
 // HeartbeatTick runs one failure-detection round. Ambient contexts only
@@ -244,12 +244,11 @@ func (c *Cluster) suspect(i int, now simtime.Time) {
 
 // rejoin clears node i's suspicion after it answered a heartbeat again
 // (the partition healed). Every cached cross-node belief involving it is
-// dropped, in both directions: the survivors' gather hints, delta views
-// and gathered versions of i went stale while it was unreachable, and
-// i's own view of the whole cluster went stale behind the partition. The
-// next gather resyncs from ground truth — the delta gather through its
-// full-map first-contact fallback, the hinted gathers by simply not
-// skipping anyone until fresh beliefs form. Runs as an ambient barrier.
+// dropped, in both directions: the survivors' delta views and gathered
+// versions of i went stale while it was unreachable, and i's own view of
+// the whole cluster went stale behind the partition. The next gather
+// resyncs from ground truth — the delta gather through its full-map
+// first-contact fallback. Runs as an ambient barrier.
 func (c *Cluster) rejoin(i int, now simtime.Time) {
 	c.suspected[i] = false
 	c.nSuspected--
@@ -262,12 +261,6 @@ func (c *Cluster) rejoin(i int, now simtime.Time) {
 		if j == i || c.down[j] {
 			continue
 		}
-		if n.hintEmpty != nil {
-			n.hintEmpty[i] = false
-		}
-		if n.emptyTold != nil {
-			n.emptyTold[i] = false
-		}
 		if n.deltaPeers != nil && n.deltaPeers[i].bm != nil {
 			n.deltaPeers[i] = deltaPeerView{}
 			n.rebuildGlobalOr()
@@ -275,17 +268,6 @@ func (c *Cluster) rejoin(i int, now simtime.Time) {
 		if n.gatherVersions != nil {
 			n.gatherVersions[i] = 0
 		}
-	}
-	if r.hintEmpty != nil {
-		for p := range r.hintEmpty {
-			r.hintEmpty[p] = false
-		}
-	}
-	if r.emptyTold != nil {
-		for p := range r.emptyTold {
-			r.emptyTold[p] = false
-		}
-		r.emptyToldAny = false
 	}
 	if r.deltaPeers != nil {
 		r.deltaPeers = make([]deltaPeerView, c.Nodes())

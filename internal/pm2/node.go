@@ -69,16 +69,6 @@ type Node struct {
 	negBusy  bool
 	negQueue []func()
 
-	// Lane-affine gather-hint state (batched/tree gathers; see
-	// gather.go). hintEmpty is the initiator half: this node's belief,
-	// per peer, that the peer owns no free slots. emptyTold is the
-	// server half: the peers this node has told "I am empty", with
-	// emptyToldAny as its fast-path summary for the bitmap on-change
-	// hook. Both allocated lazily.
-	hintEmpty    []bool
-	emptyTold    []bool
-	emptyToldAny bool
-
 	// gatherVersions records, per peer, the bitmap-journal version the
 	// last full-map gather observed — what the optimistic arbiter
 	// stamps into purchase messages (the delta gather tracks versions
@@ -155,24 +145,12 @@ func newNode(c *Cluster, id int) *Node {
 	// Any ownership change — under the delta gather or the optimistic
 	// arbiter — bumps the bitmap version and journals the dirtied
 	// words, so purchases, give-backs and defrag installs all
-	// invalidate cached remote views and stale optimistic plans. Under
-	// the batched/tree gathers, a change that gives a told-empty node
-	// slots again fans invalidation control events to the peers that
-	// still believe it empty (gather.go). The paper-faithful sequential
-	// gather under a locking arbiter never reads hints or versions, so
-	// it skips the bookkeeping entirely.
+	// invalidate cached remote views and stale optimistic plans. The
+	// other gathers under the global arbiter never read versions, so
+	// they skip the bookkeeping entirely.
 	if c.cfg.Gather == GatherDelta || c.cfg.Arbiter == ArbiterOptimistic {
 		n.journal = bitmap.NewJournal(deltaJournalWords)
-	}
-	if c.hintsOn() || n.journal != nil {
-		n.slots.SetOnChange(func(start, count int) {
-			if n.journal != nil {
-				n.journal.NoteBits(start, count)
-			}
-			if n.emptyToldAny && n.slots.Bitmap().Count() > 0 {
-				n.hintInvalidate()
-			}
-		})
+		n.slots.SetOnChange(n.journal.NoteBits)
 	}
 
 	// Map the replicated static data segment at the same address on

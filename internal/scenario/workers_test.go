@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -64,9 +65,8 @@ func TestWorkersIdentity(t *testing.T) {
 }
 
 // TestWorkersGatherMatrix extends the identity guarantee to the full
-// gather matrix at the harness level: since the lane-affine hint
-// protocol, every gather strategy composes with the parallel kernel, so
-// negostress — the workload built to hammer §4.4 negotiations — must
+// gather matrix at the harness level: every gather strategy composes
+// with the parallel kernel, so negostress — the workload built to hammer §4.4 negotiations — must
 // produce byte-identical traces and identical stats at workers 1, 2 and
 // 4 under every gather and a representative arbiter spread. The new
 // combinations have no committed goldens; self-consistency against the
@@ -75,10 +75,9 @@ func TestWorkersIdentity(t *testing.T) {
 func TestWorkersGatherMatrix(t *testing.T) {
 	cases := []struct{ gather, arbiter string }{
 		{"sequential", "global"},
-		{"batched", "global"},
-		{"batched", "optimistic"},
 		{"tree", "global"},
 		{"tree", "optimistic"},
+		{"delta", "global"},
 		{"delta", "optimistic"},
 	}
 	for _, tc := range cases {
@@ -120,10 +119,20 @@ func TestWorkersGatherMatrix(t *testing.T) {
 
 // TestWorkersInvalidSpec pins that a structurally invalid configuration
 // surfaces as an error from the harness (via pm2.Config.Validate), not a
-// panic — the batched/tree gathers are no longer rejected, so a negative
-// worker count is the representative invalid input.
+// panic — every gather is accepted at any worker count, so a negative
+// worker count is the representative invalid input. A spec naming the
+// removed batched gather (as a replayed serve trace's header may) is
+// refused with the list of known gathers.
 func TestWorkersInvalidSpec(t *testing.T) {
-	if _, err := Run(Spec{Scenario: "negostress", Workers: -2}); err == nil {
-		t.Fatal("workers=-2: expected a validation error")
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Scenario: "negostress", Workers: -2}, "worker"},
+		{Spec{Scenario: "negostress", Gather: "batched"}, "(have [sequential tree delta])"},
+	} {
+		if _, err := Run(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%+v: error = %v, want one mentioning %q", tc.spec, err, tc.want)
+		}
 	}
 }

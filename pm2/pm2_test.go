@@ -222,12 +222,10 @@ func TestPublicCheckpointRestore(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesRemovedArbiter: an image naming the removed
-// sharded arbiter is refused with the unknown-arbiter error, never a
-// panic.
-func TestRestoreRefusesRemovedArbiter(t *testing.T) {
-	sys := NewSystem()
-	sys.RegisterExamples()
+// restoreEdited captures a small run, applies edit to the decoded
+// checkpoint and restores the re-encoded image.
+func restoreEdited(t *testing.T, sys *System, edit func(ck *ipm2.Checkpoint)) error {
+	t.Helper()
 	cl := sys.Boot(Config{Nodes: 4})
 	cl.Spawn(0, "p4", 1000)
 	cl.RunForMicros(500)
@@ -239,9 +237,44 @@ func TestRestoreRefusesRemovedArbiter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.Arbiter = "sharded"
-	if _, err := sys.Restore(ck.Encode()); err == nil || !strings.Contains(err.Error(), "[global optimistic]") {
+	edit(ck)
+	_, err = sys.Restore(ck.Encode())
+	return err
+}
+
+// TestRestoreRefusesRemovedArbiter: an image naming the removed
+// sharded arbiter is refused with the unknown-arbiter error, never a
+// panic.
+func TestRestoreRefusesRemovedArbiter(t *testing.T) {
+	sys := NewSystem()
+	sys.RegisterExamples()
+	err := restoreEdited(t, sys, func(ck *ipm2.Checkpoint) { ck.Arbiter = "sharded" })
+	if err == nil || !strings.Contains(err.Error(), "[global optimistic]") {
 		t.Fatalf("restore: error = %v, want the unknown-arbiter list", err)
+	}
+}
+
+// TestRemovedGatherRefused: the removed batched gather is refused by
+// every public entry point that takes a gather name — the name parser
+// and a checkpoint image naming it — with the list of known gathers,
+// never a panic or a config mismatch.
+func TestRemovedGatherRefused(t *testing.T) {
+	sys := NewSystem()
+	sys.RegisterExamples()
+	for _, tc := range []struct {
+		entry string
+		call  func() error
+	}{
+		{"ParseGather(batched)", func() error { _, err := ParseGather("batched"); return err }},
+		{"ParseGather(batch)", func() error { _, err := ParseGather("batch"); return err }},
+		{"System.Restore", func() error {
+			return restoreEdited(t, sys, func(ck *ipm2.Checkpoint) { ck.Gather = "batched" })
+		}},
+	} {
+		if err := tc.call(); err == nil || !strings.Contains(err.Error(), "unknown gather strategy") ||
+			!strings.Contains(err.Error(), "(have [sequential tree delta])") {
+			t.Errorf("%s: error = %v, want the unknown-gather list", tc.entry, err)
+		}
 	}
 }
 
