@@ -40,8 +40,11 @@ func (NopCharger) Charge(simtime.Time) {}
 // §4.1: "slots are distributed among the nodes according to some
 // user-defined distribution pattern").
 type Distribution interface {
-	// Owns reports whether node owns slot initially, in a p-node cluster.
-	Owns(slot, node, p int) bool
+	// Runs calls set(start, n) for disjoint runs [start, start+n) that
+	// together cover exactly the slots node owns initially in a p-node
+	// cluster, in ascending order. The runs of all p nodes partition
+	// the slots.
+	Runs(node, p int, set func(start, n int))
 	// Name identifies the distribution in stats and benchmarks.
 	Name() string
 }
@@ -52,8 +55,12 @@ type Distribution interface {
 // negotiates.
 type RoundRobin struct{}
 
-// Owns implements Distribution.
-func (RoundRobin) Owns(slot, node, p int) bool { return slot%p == node }
+// Runs implements Distribution.
+func (RoundRobin) Runs(node, p int, set func(start, n int)) {
+	for i := node; i < layout.SlotCount; i += p {
+		set(i, 1)
+	}
+}
 
 // Name implements Distribution.
 func (RoundRobin) Name() string { return "round-robin" }
@@ -63,8 +70,18 @@ func (RoundRobin) Name() string { return "round-robin" }
 // local.
 type BlockCyclic struct{ K int }
 
-// Owns implements Distribution.
-func (d BlockCyclic) Owns(slot, node, p int) bool { return (slot/d.K)%p == node }
+// Runs implements Distribution. A block of SlotCount or more slots
+// gives node 0 everything; clamping K there keeps node*K from
+// overflowing.
+func (d BlockCyclic) Runs(node, p int, set func(start, n int)) {
+	if d.K <= 0 {
+		panic(fmt.Sprintf("core: block-cyclic block size %d", d.K))
+	}
+	k := min(d.K, layout.SlotCount)
+	for i := node * k; i < layout.SlotCount; i += p * k {
+		set(i, min(k, layout.SlotCount-i))
+	}
+}
 
 // Name implements Distribution.
 func (d BlockCyclic) Name() string { return fmt.Sprintf("block-cyclic(%d)", d.K) }
@@ -74,15 +91,18 @@ func (d BlockCyclic) Name() string { return fmt.Sprintf("block-cyclic(%d)", d.K)
 // process needs to grow in unpredictable ways").
 type Partition struct{}
 
-// Owns implements Distribution.
-func (Partition) Owns(slot, node, p int) bool {
+// Runs implements Distribution. Node k owns [k*per, (k+1)*per) with
+// per = SlotCount/p, and the last node also takes the remainder — all
+// of the slots when p > SlotCount.
+func (Partition) Runs(node, p int, set func(start, n int)) {
 	per := layout.SlotCount / p
-	lo := node * per
-	hi := lo + per
+	lo, hi := node*per, (node+1)*per
 	if node == p-1 {
 		hi = layout.SlotCount
 	}
-	return slot >= lo && slot < hi
+	if hi > lo {
+		set(lo, hi-lo)
+	}
 }
 
 // Name implements Distribution.
@@ -156,11 +176,7 @@ func NewNodeSlots(space *vmem.Space, ch Charger, cfg NodeConfig) *NodeSlots {
 		bm:     bitmap.New(layout.SlotCount),
 		cached: make(map[int]bool),
 	}
-	for i := 0; i < layout.SlotCount; i++ {
-		if cfg.Dist.Owns(i, cfg.NodeID, cfg.NumNodes) {
-			ns.bm.Set(i)
-		}
-	}
+	cfg.Dist.Runs(cfg.NodeID, cfg.NumNodes, ns.bm.SetRun)
 	return ns
 }
 

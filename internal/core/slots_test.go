@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/bitmap"
@@ -18,40 +20,79 @@ func newSlots(t *testing.T, node, p int, dist Distribution, cache int) *NodeSlot
 	})
 }
 
+// owner is the per-slot ownership rule each distribution's Runs
+// enumerates in closed form: the oracle TestDistributions checks every
+// node's initial bitmap against.
+func owner(d Distribution, slot, p int) int {
+	switch d := d.(type) {
+	case RoundRobin:
+		return slot % p
+	case BlockCyclic:
+		return (slot / d.K) % p
+	case Partition:
+		// p contiguous sub-areas of SlotCount/p slots; the last node
+		// also takes the remainder, which is every slot when p > SlotCount.
+		if per := layout.SlotCount / p; per > 0 {
+			return min(slot/per, p-1)
+		}
+		return p - 1
+	}
+	panic(fmt.Sprintf("no ownership rule for %s", d.Name()))
+}
+
+// TestDistributions checks that, for every node, NewNodeSlots builds
+// exactly the bitmap the per-slot rule gives; the nodes' bitmaps then
+// cover every slot exactly once.
 func TestDistributions(t *testing.T) {
-	cases := []struct {
+	type tc struct {
 		dist Distribution
 		p    int
-	}{
-		{RoundRobin{}, 4},
-		{BlockCyclic{K: 8}, 4},
-		{Partition{}, 4},
-		{Partition{}, 3}, // SlotCount not divisible by 3
+		name string
+	}
+	cases := []tc{
+		{RoundRobin{}, 4, ""},
+		{BlockCyclic{K: 8}, 4, ""},
+		{Partition{}, 4, ""},
+		{Partition{}, 3, ""}, // SlotCount not divisible by 3
+		// More nodes than slots: every slot goes to the last node.
+		{Partition{}, layout.SlotCount + 5, ""},
+		// A block wider than the area: every slot goes to node 0.
+		{BlockCyclic{K: math.MaxInt}, 4, ""},
+	}
+	dists := []Distribution{RoundRobin{}, Partition{}, BlockCyclic{K: 1}, BlockCyclic{K: 3}, BlockCyclic{K: 7}, BlockCyclic{K: 64}}
+	for _, p := range []int{1, 2, 3, 7, 64, 1024, 4096} {
+		for _, d := range dists {
+			cases = append(cases, tc{d, p, fmt.Sprintf("%s,p=%d", d.Name(), p)})
+		}
 	}
 	for _, c := range cases {
-		t.Run(c.dist.Name(), func(t *testing.T) {
-			for _, slot := range []int{0, 1, 7, 8, 100, layout.SlotCount - 1} {
-				owners := 0
-				for node := 0; node < c.p; node++ {
-					if c.dist.Owns(slot, node, c.p) {
-						owners++
-					}
-				}
-				if owners != 1 {
-					t.Fatalf("slot %d has %d owners", slot, owners)
-				}
+		if c.name == "" {
+			c.name = c.dist.Name()
+		}
+		t.Run(c.name, func(t *testing.T) {
+			slotsOf := make([][]int, c.p)
+			for slot := 0; slot < layout.SlotCount; slot++ {
+				n := owner(c.dist, slot, c.p)
+				slotsOf[n] = append(slotsOf[n], slot)
 			}
-			// Exhaustive single-ownership check.
-			total := 0
+			union := bitmap.New(layout.SlotCount)
 			for node := 0; node < c.p; node++ {
-				for slot := 0; slot < layout.SlotCount; slot++ {
-					if c.dist.Owns(slot, node, c.p) {
-						total++
+				got := NewNodeSlots(nil, NopCharger{}, NodeConfig{NodeID: node, NumNodes: c.p, Dist: c.dist}).Bitmap()
+				if got.Count() != len(slotsOf[node]) {
+					t.Fatalf("node %d owns %d slots, the rule gives it %d", node, got.Count(), len(slotsOf[node]))
+				}
+				for _, slot := range slotsOf[node] {
+					if !got.Test(slot) {
+						t.Fatalf("node %d does not own slot %d", node, slot)
 					}
 				}
+				if got.Intersects(union) {
+					t.Fatalf("node %d owns a slot an earlier node owns", node)
+				}
+				union.Or(got)
 			}
-			if total != layout.SlotCount {
-				t.Fatalf("total owned = %d, want %d", total, layout.SlotCount)
+			if n := union.Count(); n != layout.SlotCount {
+				t.Fatalf("nodes own %d slots in all, want %d", n, layout.SlotCount)
 			}
 		})
 	}

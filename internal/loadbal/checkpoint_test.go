@@ -68,6 +68,9 @@ func TestCheckpointThroughBalancer(t *testing.T) {
 	if ck2.Balancer == nil || *ck2.Balancer != *ck.Balancer {
 		t.Fatalf("balancer state did not round-trip: %+v vs %+v", ck2.Balancer, ck.Balancer)
 	}
+	if !bytes.Equal(ck2.Encode(), data) {
+		t.Fatal("decoding and re-encoding the v2 image changed its bytes")
+	}
 	rc, err := pm2.RestoreCluster(pm2.Config{Nodes: 4}, progs.NewImage(), ck2)
 	if err != nil {
 		t.Fatalf("restore: %v", err)

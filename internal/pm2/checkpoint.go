@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
-	"strings"
+	"strconv"
 
 	"repro/internal/bitmap"
 	"repro/internal/core"
@@ -494,6 +495,13 @@ func cloneStats(s Stats) Stats {
 // behind a ">" sentinel. The format is versioned by its first line;
 // DecodeCheckpoint rejects unknown versions, truncation and any byte
 // flip (the digest covers the whole body).
+//
+// Nearly every byte of an image is hex: one bitmap line per node and one
+// line per parked thread. Those bytes never pass through fmt. Encode
+// hex-encodes them straight into one buffer sized up front, and the
+// decoder cuts their lines apart with bytes and strconv and hex-decodes
+// into right-sized slices, so a round trip costs a few passes over the
+// image. fmt formats and scans only the short fixed-format lines.
 
 const (
 	ckptMagic = "pm2ckpt v1"
@@ -502,6 +510,8 @@ const (
 	// records). Everything before it is v1-identical, and v1 images —
 	// no balancer at capture — still encode and decode unchanged.
 	ckptMagicV2 = "pm2ckpt v2"
+	// ckptDigestLen is the length of the sealing "digest %016x\n" line.
+	ckptDigestLen = len("digest ") + 16 + 1
 )
 
 func fnvSum(data []byte) uint64 {
@@ -518,58 +528,89 @@ func (ck *Checkpoint) Digest() uint64 { return fnvSum(ck.body()) }
 // Encode serializes the checkpoint, digest-sealed.
 func (ck *Checkpoint) Encode() []byte {
 	body := ck.body()
-	return append(body, fmt.Sprintf("digest %016x\n", fnvSum(body))...)
+	return fmt.Appendf(body, "digest %016x\n", fnvSum(body))
 }
 
+// body serializes everything the digest seals into one buffer that
+// has room left for the digest line.
 func (ck *Checkpoint) body() []byte {
-	var b bytes.Buffer
-	magic := ckptMagic
-	if ck.Balancer != nil {
-		magic = ckptMagicV2
-	}
-	fmt.Fprintf(&b, "%s\n", magic)
-	fmt.Fprintf(&b, "config nodes=%d policy=%s arbiter=%s gather=%s dist=%s convoy=%t pack=%d heartbeat-misses=%d\n",
-		ck.Nodes, ck.Policy, ck.Arbiter, ck.Gather, ck.Dist, ck.Convoy, ck.Pack, ck.HeartbeatMisses)
-	fmt.Fprintf(&b, "clock now=%d seq=%d steps=%d\n", int64(ck.Now), ck.Seq, ck.Step)
 	stats, err := json.Marshal(ck.Stats)
 	if err != nil {
 		panic(fmt.Sprintf("pm2: encoding checkpoint stats: %v", err))
 	}
-	fmt.Fprintf(&b, "stats %s\n", stats)
-	fmt.Fprintf(&b, "trace %d\n", len(ck.Trace))
+	b := make([]byte, 0, ck.sizeBound(len(stats))+ckptDigestLen)
+	magic := ckptMagic
+	if ck.Balancer != nil {
+		magic = ckptMagicV2
+	}
+	b = append(b, magic+"\n"...)
+	b = fmt.Appendf(b, "config nodes=%d policy=%s arbiter=%s gather=%s dist=%s convoy=%t pack=%d heartbeat-misses=%d\n",
+		ck.Nodes, ck.Policy, ck.Arbiter, ck.Gather, ck.Dist, ck.Convoy, ck.Pack, ck.HeartbeatMisses)
+	b = fmt.Appendf(b, "clock now=%d seq=%d steps=%d\n", int64(ck.Now), ck.Seq, ck.Step)
+	b = append(b, "stats "...)
+	b = append(b, stats...)
+	b = fmt.Appendf(b, "\ntrace %d\n", len(ck.Trace))
 	for _, line := range ck.Trace {
-		fmt.Fprintf(&b, ">%s\n", line)
+		b = append(b, '>')
+		b = append(b, line...)
+		b = append(b, '\n')
 	}
 	for i, st := range ck.NodeStates {
-		fmt.Fprintf(&b, "node %d busy=%d nextseq=%d created=%d finished=%d faulted=%d dispatches=%d instrs=%d sent=%d sentbytes=%d dropped=%d journal=%d\n",
+		b = fmt.Appendf(b, "node %d busy=%d nextseq=%d created=%d finished=%d faulted=%d dispatches=%d instrs=%d sent=%d sentbytes=%d dropped=%d journal=%d\n",
 			i, int64(st.Busy), st.NextSeq, st.Created, st.Finished, st.Faulted, st.Dispatches, st.Instrs,
 			st.Sent, st.SentBytes, st.Dropped, st.Journal)
-		fmt.Fprintf(&b, "bitmap %s\n", hex.EncodeToString(st.Bitmap))
-		b.WriteString("exited")
+		b = append(b, "bitmap "...)
+		b = hex.AppendEncode(b, st.Bitmap)
+		b = append(b, "\nexited"...)
 		for _, tid := range st.Exited {
-			fmt.Fprintf(&b, " %d", tid)
+			b = append(b, ' ')
+			b = strconv.AppendUint(b, uint64(tid), 10)
 		}
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, "threads %d\n", len(st.Threads))
+		b = fmt.Appendf(b, "\nthreads %d\n", len(st.Threads))
 		for _, th := range st.Threads {
-			fmt.Fprintf(&b, "thread tid=%d image=%s\n", th.TID, hex.EncodeToString(th.Image))
+			b = fmt.Appendf(b, "thread tid=%d image=", th.TID)
+			b = hex.AppendEncode(b, th.Image)
+			b = append(b, '\n')
 		}
 	}
 	if bc := ck.Balancer; bc != nil {
-		fmt.Fprintf(&b, "balancer period=%d next=%d staleafter=%d keepalive=%d threshold=%d maxmoves=%d rounds=%d moves=%d\n",
+		b = fmt.Appendf(b, "balancer period=%d next=%d staleafter=%d keepalive=%d threshold=%d maxmoves=%d rounds=%d moves=%d\n",
 			int64(bc.Period), int64(bc.NextRoundAt), int64(bc.StaleAfter), int64(bc.KeepAliveUntil),
 			bc.Threshold, bc.MaxMoves, bc.Rounds, bc.Moves)
-		b.WriteString("missedbeats")
+		b = append(b, "missedbeats"...)
 		for _, m := range ck.MissedBeats {
-			fmt.Fprintf(&b, " %d", m)
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, int64(m), 10)
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	return b.Bytes()
+	return b
+}
+
+// sizeBound bounds the length of the body given its stats JSON length.
+// The hex and trace bytes are counted exactly; every fixed-format line
+// is at most ckptLineMax bytes with all its numbers at full width, plus
+// the configuration's name strings.
+func (ck *Checkpoint) sizeBound(statsLen int) int {
+	const ckptLineMax = 400
+	n := 5*ckptLineMax + statsLen + len(ck.Policy) + len(ck.Arbiter) + len(ck.Gather) + len(ck.Dist)
+	for _, line := range ck.Trace {
+		n += len(line) + 2
+	}
+	for _, st := range ck.NodeStates {
+		n += 3*ckptLineMax + 2*len(st.Bitmap) + 11*len(st.Exited)
+		for _, th := range st.Threads {
+			n += len("thread tid=4294967295 image=\n") + 2*len(th.Image)
+		}
+	}
+	if ck.Balancer != nil {
+		n += 2*ckptLineMax + 21*len(ck.MissedBeats)
+	}
+	return n
 }
 
 // DecodeCheckpoint parses and digest-verifies a pm2ckpt v1 or v2
-// serialization.
+// serialization. The checkpoint it returns shares no memory with data.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	idx := bytes.LastIndex(data, []byte("\ndigest "))
 	if idx < 0 {
@@ -584,67 +625,42 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("pm2: checkpoint digest mismatch: computed %016x, sealed %016x (corrupt or truncated)", got, want)
 	}
 
-	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
-	pos := 0
-	next := func() (string, error) {
-		if pos >= len(lines) {
-			return "", fmt.Errorf("pm2: checkpoint ends early at line %d", pos+1)
-		}
-		pos++
-		return lines[pos-1], nil
-	}
-	expect := func(format string, args ...any) error {
-		line, err := next()
-		if err != nil {
-			return err
-		}
-		if n, err := fmt.Sscanf(line, format, args...); err != nil || n != len(args) {
-			return fmt.Errorf("pm2: checkpoint line %d: want %q, got %q", pos, format, line)
-		}
-		return nil
-	}
-
+	r := &ckptReader{rest: body}
 	v2 := false
-	if line, err := next(); err != nil {
+	if line, err := r.next(); err != nil {
 		return nil, err
-	} else if line == ckptMagicV2 {
+	} else if string(line) == ckptMagicV2 {
 		v2 = true
-	} else if line != ckptMagic {
+	} else if string(line) != ckptMagic {
 		return nil, fmt.Errorf("pm2: not a %s file (starts %q)", ckptMagic, line)
 	}
 	ck := &Checkpoint{}
-	if err := expect("config nodes=%d policy=%s arbiter=%s gather=%s dist=%s convoy=%t pack=%d heartbeat-misses=%d",
+	if err := r.expect("config nodes=%d policy=%s arbiter=%s gather=%s dist=%s convoy=%t pack=%d heartbeat-misses=%d",
 		&ck.Nodes, &ck.Policy, &ck.Arbiter, &ck.Gather, &ck.Dist, &ck.Convoy, &ck.Pack, &ck.HeartbeatMisses); err != nil {
 		return nil, err
 	}
 	var now int64
-	if err := expect("clock now=%d seq=%d steps=%d", &now, &ck.Seq, &ck.Step); err != nil {
+	if err := r.expect("clock now=%d seq=%d steps=%d", &now, &ck.Seq, &ck.Step); err != nil {
 		return nil, err
 	}
 	ck.Now = simtime.Time(now)
-	statsLine, err := next()
+	stats, err := r.field("stats ", "stats")
 	if err != nil {
 		return nil, err
 	}
-	if !strings.HasPrefix(statsLine, "stats ") {
-		return nil, fmt.Errorf("pm2: checkpoint line %d: want stats, got %q", pos, statsLine)
-	}
-	if err := json.Unmarshal([]byte(statsLine[len("stats "):]), &ck.Stats); err != nil {
+	if err := json.Unmarshal(stats, &ck.Stats); err != nil {
 		return nil, fmt.Errorf("pm2: checkpoint stats: %v", err)
 	}
 	var nTrace int
-	if err := expect("trace %d", &nTrace); err != nil {
+	if err := r.expect("trace %d", &nTrace); err != nil {
 		return nil, err
 	}
 	for i := 0; i < nTrace; i++ {
-		line, err := next()
+		line, err := r.field(">", "trace line")
 		if err != nil {
 			return nil, err
 		}
-		if !strings.HasPrefix(line, ">") {
-			return nil, fmt.Errorf("pm2: checkpoint line %d: want trace line, got %q", pos, line)
-		}
-		ck.Trace = append(ck.Trace, line[1:])
+		ck.Trace = append(ck.Trace, string(line))
 	}
 	for i := 0; i < ck.Nodes; i++ {
 		var (
@@ -652,7 +668,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			busy int64
 			st   CheckpointNode
 		)
-		if err := expect("node %d busy=%d nextseq=%d created=%d finished=%d faulted=%d dispatches=%d instrs=%d sent=%d sentbytes=%d dropped=%d journal=%d",
+		if err := r.expect("node %d busy=%d nextseq=%d created=%d finished=%d faulted=%d dispatches=%d instrs=%d sent=%d sentbytes=%d dropped=%d journal=%d",
 			&rank, &busy, &st.NextSeq, &st.Created, &st.Finished, &st.Faulted, &st.Dispatches, &st.Instrs,
 			&st.Sent, &st.SentBytes, &st.Dropped, &st.Journal); err != nil {
 			return nil, err
@@ -661,40 +677,41 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			return nil, fmt.Errorf("pm2: checkpoint node records out of order: want %d, got %d", i, rank)
 		}
 		st.Busy = simtime.Time(busy)
-		var bmHex string
-		if err := expect("bitmap %s", &bmHex); err != nil {
-			return nil, err
-		}
-		if st.Bitmap, err = hex.DecodeString(bmHex); err != nil {
-			return nil, fmt.Errorf("pm2: checkpoint node %d bitmap: %v", i, err)
-		}
-		exLine, err := next()
+		bm, err := r.field("bitmap ", "bitmap")
 		if err != nil {
 			return nil, err
 		}
-		if exLine != "exited" && !strings.HasPrefix(exLine, "exited ") {
-			return nil, fmt.Errorf("pm2: checkpoint line %d: want exited, got %q", pos, exLine)
+		if st.Bitmap, err = unhex(bm); err != nil {
+			return nil, fmt.Errorf("pm2: checkpoint node %d bitmap: %v", i, err)
 		}
-		for _, f := range strings.Fields(exLine)[1:] {
-			var tid uint32
-			if _, err := fmt.Sscanf(f, "%d", &tid); err != nil {
+		exited, err := r.list("exited")
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range exited {
+			tid, err := strconv.ParseUint(string(f), 10, 32)
+			if err != nil {
 				return nil, fmt.Errorf("pm2: checkpoint node %d exited tid %q: %v", i, f, err)
 			}
-			st.Exited = append(st.Exited, tid)
+			st.Exited = append(st.Exited, uint32(tid))
 		}
 		var nThreads int
-		if err := expect("threads %d", &nThreads); err != nil {
+		if err := r.expect("threads %d", &nThreads); err != nil {
 			return nil, err
 		}
 		for k := 0; k < nThreads; k++ {
-			var (
-				th     CheckpointThread
-				imgHex string
-			)
-			if err := expect("thread tid=%d image=%s", &th.TID, &imgHex); err != nil {
+			line, err := r.next()
+			if err != nil {
 				return nil, err
 			}
-			if th.Image, err = hex.DecodeString(imgHex); err != nil {
+			rest, ok1 := bytes.CutPrefix(line, []byte("thread tid="))
+			tidText, img, ok2 := bytes.Cut(rest, []byte(" image="))
+			tid, err := strconv.ParseUint(string(tidText), 10, 32)
+			if !ok1 || !ok2 || err != nil {
+				return nil, r.bad("thread", line)
+			}
+			th := CheckpointThread{TID: uint32(tid)}
+			if th.Image, err = unhex(img); err != nil {
 				return nil, fmt.Errorf("pm2: checkpoint thread %#x image: %v", th.TID, err)
 			}
 			st.Threads = append(st.Threads, th)
@@ -704,32 +721,103 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if v2 {
 		bc := &BalancerCheckpoint{}
 		var period, nextAt, stale, keep int64
-		if err := expect("balancer period=%d next=%d staleafter=%d keepalive=%d threshold=%d maxmoves=%d rounds=%d moves=%d",
+		if err := r.expect("balancer period=%d next=%d staleafter=%d keepalive=%d threshold=%d maxmoves=%d rounds=%d moves=%d",
 			&period, &nextAt, &stale, &keep, &bc.Threshold, &bc.MaxMoves, &bc.Rounds, &bc.Moves); err != nil {
 			return nil, err
 		}
 		bc.Period, bc.NextRoundAt = simtime.Time(period), simtime.Time(nextAt)
 		bc.StaleAfter, bc.KeepAliveUntil = simtime.Time(stale), simtime.Time(keep)
 		ck.Balancer = bc
-		mbLine, err := next()
+		beats, err := r.list("missedbeats")
 		if err != nil {
 			return nil, err
 		}
-		if mbLine != "missedbeats" && !strings.HasPrefix(mbLine, "missedbeats ") {
-			return nil, fmt.Errorf("pm2: checkpoint line %d: want missedbeats, got %q", pos, mbLine)
-		}
-		for _, f := range strings.Fields(mbLine)[1:] {
-			var m int
-			if _, err := fmt.Sscanf(f, "%d", &m); err != nil {
+		for _, f := range beats {
+			m, err := strconv.Atoi(string(f))
+			if err != nil {
 				return nil, fmt.Errorf("pm2: checkpoint missedbeats %q: %v", f, err)
 			}
 			ck.MissedBeats = append(ck.MissedBeats, m)
 		}
 	}
-	if pos != len(lines) {
-		return nil, fmt.Errorf("pm2: %d trailing checkpoint lines after node records", len(lines)-pos)
+	if n := bytes.Count(r.rest, []byte{'\n'}); n > 0 {
+		return nil, fmt.Errorf("pm2: %d trailing checkpoint lines after node records", n)
 	}
 	return ck, nil
+}
+
+// ckptReader walks the lines of a digest-verified body in place.
+type ckptReader struct {
+	rest []byte // the lines not yet taken; each ends in a newline
+	line int    // lines taken so far, for error messages
+}
+
+// next takes the next line, without its newline.
+func (r *ckptReader) next() ([]byte, error) {
+	if len(r.rest) == 0 {
+		return nil, fmt.Errorf("pm2: checkpoint ends early at line %d", r.line+1)
+	}
+	r.line++
+	line, rest, _ := bytes.Cut(r.rest, []byte{'\n'})
+	r.rest = rest
+	return line, nil
+}
+
+// bad reports that line, the one just taken, is not the wanted one.
+func (r *ckptReader) bad(want string, line []byte) error {
+	return fmt.Errorf("pm2: checkpoint line %d: want %s, got %q", r.line, want, line)
+}
+
+// expect scans the next line, a short fixed-format one, into args.
+func (r *ckptReader) expect(format string, args ...any) error {
+	line, err := r.next()
+	if err != nil {
+		return err
+	}
+	if n, err := fmt.Sscanf(string(line), format, args...); err != nil || n != len(args) {
+		return r.bad(strconv.Quote(format), line)
+	}
+	return nil
+}
+
+// field takes the next line, which must start with prefix, and returns
+// the rest of it.
+func (r *ckptReader) field(prefix, want string) ([]byte, error) {
+	line, err := r.next()
+	if err != nil {
+		return nil, err
+	}
+	rest, ok := bytes.CutPrefix(line, []byte(prefix))
+	if !ok {
+		return nil, r.bad(want, line)
+	}
+	return rest, nil
+}
+
+// list takes the next line, which must be key alone or key followed by
+// space-separated fields, and returns the fields.
+func (r *ckptReader) list(key string) ([][]byte, error) {
+	line, err := r.next()
+	if err != nil {
+		return nil, err
+	}
+	rest, ok := bytes.CutPrefix(line, []byte(key))
+	if !ok || len(rest) > 0 && rest[0] != ' ' {
+		return nil, r.bad(key, line)
+	}
+	return bytes.Fields(rest), nil
+}
+
+// unhex decodes a non-empty hex payload into a slice of its own.
+func unhex(src []byte) ([]byte, error) {
+	if len(src) == 0 {
+		return nil, errors.New("empty payload")
+	}
+	dst := make([]byte, hex.DecodedLen(len(src)))
+	if _, err := hex.Decode(dst, src); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // DistFromName resolves a Distribution.Name() string — the form a

@@ -1,6 +1,8 @@
 package pm2
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -13,7 +15,7 @@ import (
 // runCheckpointed runs the workload to checkpointAt, captures, resumes
 // in place to completion, and returns the serialized checkpoint plus
 // the full continuation trace.
-func runCheckpointed(t *testing.T, cfg Config, checkpointAt simtime.Time) ([]byte, string) {
+func runCheckpointed(t testing.TB, cfg Config, checkpointAt simtime.Time) ([]byte, string) {
 	t.Helper()
 	c := New(cfg, progs.NewImage())
 	for i := 0; i < 8; i++ {
@@ -251,5 +253,87 @@ func TestCheckpointRefusals(t *testing.T) {
 				t.Fatalf("error = %v, want the list %s", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestCheckpointEncodingPinned pins the pm2ckpt v1 encoding byte for
+// byte: the 4-node capture below must keep its length and whole-file
+// FNV-1a-64 at either worker count, and decoding then re-encoding an
+// image must give back the same bytes.
+func TestCheckpointEncodingPinned(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		data, _ := runCheckpointed(t, Config{Nodes: 4, Workers: workers}, 3*simtime.Millisecond)
+		if len(data) != 64657 || fnvSum(data) != 0xb7bc99a885cdfa07 {
+			t.Fatalf("workers=%d: image is %d bytes with FNV-1a-64 %016x, want 64657 bytes with b7bc99a885cdfa07",
+				workers, len(data), fnvSum(data))
+		}
+		ck, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatalf("workers=%d: decode: %v", workers, err)
+		}
+		if !bytes.Equal(ck.Encode(), data) {
+			t.Fatalf("workers=%d: decode and re-encode changed the image", workers)
+		}
+	}
+}
+
+// TestRestoredClusterDropsImage checks that a restored cluster keeps
+// nothing of the image it was decoded from alive. Two clusters are
+// restored from one decoded checkpoint; once the image and the
+// checkpoint are dropped, the first must retain no more heap than the
+// second owns alone, give or take well under the image's size. A
+// decoded trace line sharing memory with the image would pin all of it.
+func TestRestoredClusterDropsImage(t *testing.T) {
+	cfg := Config{Nodes: 4}
+	im := ckRingImage()
+	c := New(cfg, im)
+	spawnTraveller(c, 0, 0, 0, 4) // prints its line before the capture
+	for i := 1; i < 64; i++ {
+		spawnTraveller(c, i%cfg.Nodes, 64, 2000, 96<<10)
+	}
+	c.Engine().RunUntil(5 * simtime.Millisecond)
+	ck, err := c.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Trace) == 0 {
+		t.Fatal("no trace line before the capture")
+	}
+	data := ck.Encode()
+	size := int64(len(data))
+	c, ck = nil, nil
+
+	restore := func() (*Cluster, *Cluster) {
+		ck, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rc [2]*Cluster
+		for i := range rc {
+			if rc[i], err = RestoreCluster(cfg, im, ck); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rc[0], rc[1]
+	}
+	first, second := restore()
+	data = nil
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	both := heap()
+	runtime.KeepAlive(second)
+	one := heap()
+	runtime.KeepAlive(first)
+	none := heap()
+	own, retained := both-one, one-none
+	t.Logf("image %d bytes; a restored cluster owns %d bytes, the last one retains %d", size, own, retained)
+	if retained-own > size/4 {
+		t.Fatalf("the last restored cluster retains %d bytes beyond the %d it owns: the %d-byte image is still reachable",
+			retained-own, own, size)
 	}
 }
