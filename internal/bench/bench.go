@@ -10,6 +10,8 @@ package bench
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/asm"
 	"repro/internal/core"
@@ -288,12 +290,9 @@ type ConvoyReport struct {
 	ConvoyBytesPerThread  uint64  `json:"convoy_bytes_per_thread"`
 }
 
-// MigrationReport is the BENCH_migration.json schema. CI runs `pm2bench
-// -fig migration -json` and `benchcheck` compares the ping-pong µs/hop
-// and the convoy per-thread µs and bytes/thread against the committed
-// ci/BENCH_migration.baseline.json, failing the job on a regression
-// beyond tolerance. Shared by pm2bench (writer) and benchcheck (gate) so
-// a schema change is a compile-time event.
+// MigrationReport is the BENCH_migration.json schema, written by
+// `pm2bench -fig migration -json` and gated through Records against
+// the committed ci/BENCH_migration.baseline.json.
 type MigrationReport struct {
 	Figure       string `json:"figure"`
 	PayloadBytes uint32 `json:"payload_bytes"`
@@ -303,6 +302,21 @@ type MigrationReport struct {
 	LegacyMicrosPerHop   float64        `json:"legacy_us_per_hop"`
 	ZeroCopyMicrosPerHop float64        `json:"zerocopy_us_per_hop"`
 	Convoy               []ConvoyReport `json:"convoy"`
+}
+
+// Records gates the payload size exactly (it identifies the workload),
+// the ping-pong µs/hop and the convoy per-thread µs and wire
+// bytes/thread within tolerance.
+func (r MigrationReport) Records() []Record {
+	l := ledger{figure: "migration"}
+	l.add(GateExact, 0, "B", float64(r.PayloadBytes), "payload")
+	l.add(GateTol, latencyGraceMicros, "µs/hop", r.LegacyMicrosPerHop, "legacy ping-pong")
+	l.add(GateTol, latencyGraceMicros, "µs/hop", r.ZeroCopyMicrosPerHop, "zero-copy ping-pong")
+	for _, c := range r.Convoy {
+		l.add(GateTol, latencyGraceMicros, "µs", c.PerThreadConvoyMicros, "convoy k=%d per-thread", c.K)
+		l.add(GateTol, 0, "B/thread", float64(c.ConvoyBytesPerThread), "convoy k=%d wire", c.K)
+	}
+	return l.recs
 }
 
 // RelocationPingPong measures the §2 baseline with regPtrs registered user
@@ -406,9 +420,7 @@ func NegotiationScalingGatherWarm(nodeCounts []int, gather pm2.GatherMode) []Neg
 // GatherReport is one gather strategy's entry in the
 // BENCH_negotiation.json report: the cold and warm per-node slopes
 // (the CI-gated figures) plus the merged bitmap bytes at the largest
-// measured cluster. Shared by pm2bench (writer) and benchcheck
-// (gate) so a schema change is a compile-time event, not a silently
-// neutralized gate.
+// measured cluster.
 type GatherReport struct {
 	ColdSlopeMicrosPerNode float64 `json:"cold_slope_us_per_node"`
 	WarmSlopeMicrosPerNode float64 `json:"warm_slope_us_per_node"`
@@ -416,14 +428,29 @@ type GatherReport struct {
 	WarmMergedBytes        uint64  `json:"warm_merged_bytes"`
 }
 
-// NegotiationReport is the BENCH_negotiation.json schema. CI runs
-// `pm2bench -fig negotiation -json` and `benchcheck` compares the
-// slopes against the committed ci/BENCH_negotiation.baseline.json,
-// failing the job on a regression beyond tolerance.
+// NegotiationReport is the BENCH_negotiation.json schema, written by
+// `pm2bench -fig negotiation -json` and gated through Records against
+// the committed ci/BENCH_negotiation.baseline.json.
 type NegotiationReport struct {
 	Figure  string                  `json:"figure"`
 	Nodes   []int                   `json:"nodes"`
 	Gathers map[string]GatherReport `json:"gathers"`
+}
+
+// Records gates each gather strategy's cold and warm per-node slope
+// within tolerance. The merged-byte counts are context: they are exact
+// protocol quantities already pinned by unit tests, while the slopes
+// summarize the virtual-time cost model end to end.
+func (r NegotiationReport) Records() []Record {
+	l := ledger{figure: "negotiation"}
+	for _, name := range slices.Sorted(maps.Keys(r.Gathers)) {
+		g := r.Gathers[name]
+		l.add(GateTol, slopeGraceMicros, "µs/node", g.ColdSlopeMicrosPerNode, "%s cold slope", name)
+		l.add(GateTol, slopeGraceMicros, "µs/node", g.WarmSlopeMicrosPerNode, "%s warm slope", name)
+		l.add(GateInfo, 0, "B", float64(g.ColdMergedBytes), "%s cold merged", name)
+		l.add(GateInfo, 0, "B", float64(g.WarmMergedBytes), "%s warm merged", name)
+	}
+	return l.recs
 }
 
 // ContentionRow is one point of the arbiter contention measurement.

@@ -26,12 +26,9 @@ type FailoverRow struct {
 	ReclaimedSlots int `json:"reclaimed_slots"`
 }
 
-// FailoverReport is the BENCH_failover.json schema. CI runs `pm2bench
-// -fig failover -json` and `benchcheck` compares the detection latency
-// and the per-k evacuation makespans against the committed
-// ci/BENCH_failover.baseline.json, failing the job on a regression
-// beyond tolerance. Shared by pm2bench (writer) and benchcheck (gate)
-// so a schema change is a compile-time event.
+// FailoverReport is the BENCH_failover.json schema, written by
+// `pm2bench -fig failover -json` and gated through Records against the
+// committed ci/BENCH_failover.baseline.json.
 type FailoverReport struct {
 	Figure string `json:"figure"`
 	Nodes  int    `json:"nodes"`
@@ -39,6 +36,21 @@ type FailoverReport struct {
 	// period times Config.HeartbeatMisses, independent of k.
 	DetectionMicros float64       `json:"detection_us"`
 	Rows            []FailoverRow `json:"rows"`
+}
+
+// Records gates the detection latency and the per-k evacuation
+// makespans (both pipelines) within tolerance. The reclaimed slot count
+// is an exact protocol quantity already pinned by unit tests, so it is
+// context.
+func (r FailoverReport) Records() []Record {
+	l := ledger{figure: "failover"}
+	l.add(GateTol, latencyGraceMicros, "µs", r.DetectionMicros, "detection")
+	for _, row := range r.Rows {
+		l.add(GateTol, latencyGraceMicros, "µs", row.EvacLegacyMicros, "k=%d evac legacy", row.K)
+		l.add(GateTol, latencyGraceMicros, "µs", row.EvacConvoyMicros, "k=%d evac convoy", row.K)
+		l.add(GateInfo, 0, "slots", float64(row.ReclaimedSlots), "k=%d reclaimed", row.K)
+	}
+	return l.recs
 }
 
 // failoverCrashMicros / failoverTickMicros shape every failover run: the

@@ -33,12 +33,9 @@ type PartitionSlowRow struct {
 	NegotiationMicros float64 `json:"negotiation_us"`
 }
 
-// PartitionReport is the BENCH_partition.json schema. CI runs
-// `pm2bench -fig partition -json` and `benchcheck` compares the rejoin
-// latency and the per-k timeout counts and makespans against the
-// committed ci/BENCH_partition.baseline.json. Shared by pm2bench
-// (writer) and benchcheck (gate) so a schema change is a compile-time
-// event.
+// PartitionReport is the BENCH_partition.json schema, written by
+// `pm2bench -fig partition -json` and gated through Records against
+// the committed ci/BENCH_partition.baseline.json.
 type PartitionReport struct {
 	Figure string `json:"figure"`
 	Nodes  int    `json:"nodes"`
@@ -48,6 +45,25 @@ type PartitionReport struct {
 	RejoinMicros float64            `json:"rejoin_us"`
 	Rows         []PartitionRow     `json:"rows"`
 	SlowRows     []PartitionSlowRow `json:"slow_rows"`
+}
+
+// Records gates the rejoin latency and the RPC-timeout counts exactly —
+// lease arithmetic and deadline expiries are deterministic protocol
+// quantities — and the negotiation makespans within tolerance. Zero
+// evacuations is asserted inside Partition itself (it panics
+// otherwise), so a report that exists at all carries that property.
+func (r PartitionReport) Records() []Record {
+	l := ledger{figure: "partition"}
+	l.add(GateExact, 0, "µs", r.RejoinMicros, "rejoin")
+	for _, row := range r.Rows {
+		l.add(GateExact, 0, "", float64(row.RPCTimeouts), "k=%d timeouts", row.K)
+		l.add(GateTol, latencyGraceMicros, "µs", row.NegotiationMicros, "k=%d makespan", row.K)
+	}
+	for _, row := range r.SlowRows {
+		l.add(GateExact, 0, "", float64(row.RPCTimeouts), "slow x%d timeouts", row.Factor)
+		l.add(GateTol, latencyGraceMicros, "µs", row.NegotiationMicros, "slow x%d nego", row.Factor)
+	}
+	return l.recs
 }
 
 // Partition window and heartbeat cadence for every partition run: the

@@ -21,8 +21,9 @@ import (
 // negotiate, so the burst is what exercises the §4.4 protocol — and
 // every gather runs under the parallel kernel too. Virtual quantities (events, migrations,
 // negotiations, merged bytes, virtual time) are exact and identical at
-// any worker count; they are what benchcheck gates. Wall-clock figures
-// are the machine-dependent payoff and stay informational.
+// any worker count; they are what ScaleReport.Records gates exactly.
+// Wall-clock figures are the machine-dependent payoff and stay
+// informational.
 
 // ringHopSrc spins r2 iterations, hops to the next node round-robin,
 // and repeats r1 times.
@@ -104,12 +105,10 @@ type ScaleClusterReport struct {
 	Gathers       []ScaleGatherReport `json:"gathers,omitempty"`
 }
 
-// ScaleReport is the BENCH_scale.json schema. CI runs `pm2bench -fig
-// scale -json` and benchcheck requires the virtual quantities to match
-// ci/BENCH_scale.baseline.json exactly — they are deterministic event
-// counts, not timings, so any drift is a kernel behavior change, not
-// noise. EventsSlopePerNode summarizes how total kernel work grows with
-// cluster size over the measured points.
+// ScaleReport is the BENCH_scale.json schema, written by `pm2bench
+// -fig scale -json` and gated through Records against the committed
+// ci/BENCH_scale.baseline.json. EventsSlopePerNode summarizes how total
+// kernel work grows with cluster size over the measured points.
 type ScaleReport struct {
 	Figure string `json:"figure"`
 	Hops   int    `json:"hops"`
@@ -118,14 +117,58 @@ type ScaleReport struct {
 	// single-core runner the worker pool cannot physically run lanes
 	// concurrently, so wall-clock speedups are meaningless there — the
 	// parity guarantee is carried entirely by the exact virtual
-	// quantities. benchcheck reads this to decide how to present the
-	// wall-clock columns; the virtual gate is unconditional.
+	// quantities. Records emits speedups only when MaxProcs > 1; the
+	// virtual gate is unconditional.
 	MaxProcs int `json:"maxprocs"`
 	// EventsSlopePerNode is the least-squares slope of total events
 	// against cluster size — the events/sec slope divides this by the
-	// measured wall-clock, so the virtual slope is the gated part.
+	// measured wall-clock. It follows from the per-cluster event counts,
+	// which are the gated part.
 	EventsSlopePerNode float64              `json:"events_slope_per_node"`
 	Clusters           []ScaleClusterReport `json:"clusters"`
+}
+
+// Records gates everything virtual exactly — they are deterministic
+// event counts, not timings, so any drift is a kernel behavior change,
+// not noise: the workload parameters, and per cluster size the thread
+// count, total events, migrations and final virtual clock, plus per
+// gather strategy the negotiation burst's events, negotiation and
+// failure counts, merged bytes and virtual clock. Scale already asserts
+// every worker count reproduces the serial run, so one gated row per
+// workload covers all worker counts. Wall clock and events/sec measure
+// the host and are context; so are speedups, emitted only on a
+// multicore host.
+func (r ScaleReport) Records() []Record {
+	l := ledger{figure: "scale"}
+	l.add(GateExact, 0, "", float64(r.Hops), "hops")
+	l.add(GateExact, 0, "", float64(r.Spin), "spin")
+	l.add(GateInfo, 0, "", float64(r.MaxProcs), "GOMAXPROCS")
+	runs := func(label string, rs []ScaleWorkerRun) {
+		for _, w := range rs {
+			l.add(GateInfo, 0, "ms", w.WallMs, "%s workers=%d wall", label, w.Workers)
+			l.add(GateInfo, 0, "events/s", w.EventsPerSec, "%s workers=%d rate", label, w.Workers)
+			if r.MaxProcs > 1 {
+				l.add(GateInfo, 0, "×", w.Speedup, "%s workers=%d speedup", label, w.Workers)
+			}
+		}
+	}
+	for _, c := range r.Clusters {
+		l.add(GateExact, 0, "", float64(c.Threads), "n=%d threads", c.Nodes)
+		l.add(GateExact, 0, "", float64(c.Events), "n=%d events", c.Nodes)
+		l.add(GateExact, 0, "", float64(c.Migrations), "n=%d migrations", c.Nodes)
+		l.add(GateExact, 0, "µs", c.VirtualMicros, "n=%d virtual", c.Nodes)
+		runs(fmt.Sprintf("n=%d", c.Nodes), c.Runs)
+		for _, g := range c.Gathers {
+			label := fmt.Sprintf("n=%d %s", c.Nodes, g.Gather)
+			l.add(GateExact, 0, "", float64(g.Events), "%s events", label)
+			l.add(GateExact, 0, "", float64(g.Negotiations), "%s negotiations", label)
+			l.add(GateExact, 0, "", float64(g.Failures), "%s failures", label)
+			l.add(GateExact, 0, "B", float64(g.MergedBytes), "%s merged", label)
+			l.add(GateExact, 0, "µs", g.VirtualMicros, "%s virtual", label)
+			runs(label, g.Runs)
+		}
+	}
+	return l.recs
 }
 
 // scaleThreads is the thread count for a given cluster size: one ring

@@ -62,17 +62,33 @@ type ServeClusterReport struct {
 	KneeThroughputPerMs float64 `json:"knee_throughput_per_ms"`
 }
 
-// ServeReport is the BENCH_serve.json schema. CI runs `pm2bench -fig
-// serve -json` and `benchcheck` holds each cluster's knee against the
-// committed ci/BENCH_serve.baseline.json as a floor — a knee that falls
-// is a serving-capacity regression. Shared by pm2bench (writer) and
-// benchcheck (gate) so a schema change is a compile-time event.
+// ServeReport is the BENCH_serve.json schema, written by `pm2bench
+// -fig serve -json` and gated through Records against the committed
+// ci/BENCH_serve.baseline.json.
 type ServeReport struct {
 	Figure      string               `json:"figure"`
 	Policy      string               `json:"policy"`
 	Seed        uint64               `json:"seed"`
 	SLOBudgetUs float64              `json:"slo_budget_us"`
 	Clusters    []ServeClusterReport `json:"clusters"`
+}
+
+// Records holds each cluster size's saturation knee (rate scale and
+// sustained throughput) as a floor: a knee that falls is lost serving
+// capacity. The per-cohort base-rate percentiles are context — the SLO
+// bound itself is enforced inside the knee criterion.
+func (r ServeReport) Records() []Record {
+	l := ledger{figure: "serve"}
+	for _, c := range r.Clusters {
+		l.add(GateFloor, 0, "×base rate", c.KneeRateScale, "n=%d knee", c.Nodes)
+		l.add(GateFloor, 0, "req/ms", c.KneeThroughputPerMs, "n=%d knee throughput", c.Nodes)
+		for _, co := range c.Cohorts {
+			l.add(GateInfo, 0, "µs", co.EndToEndP50Us, "n=%d %s e2e p50", c.Nodes, co.Cohort)
+			l.add(GateInfo, 0, "µs", co.EndToEndP95Us, "n=%d %s e2e p95", c.Nodes, co.Cohort)
+			l.add(GateInfo, 0, "µs", co.EndToEndP99Us, "n=%d %s e2e p99", c.Nodes, co.Cohort)
+		}
+	}
+	return l.recs
 }
 
 // serveRun replays the derived serving workload at one rate scale.

@@ -33,8 +33,9 @@ import (
 //     late lock grant released immediately. Idempotent channels simply
 //     cancel the wait (madeleine tombstones the orphan reply).
 //
-// With RPCTimeout == 0 every helper degrades to the plain ep.Call —
-// no timer, no envelope change, byte-identical traces.
+// With RPCTimeout == 0 every deadline is zero, and callRPCWithin — the
+// one place a plain call is chosen — degrades to the plain ep.Call: no
+// timer, no envelope change, byte-identical traces.
 
 const (
 	// rpcMaxAttempts bounds an idempotent request's tries: the initial
@@ -126,10 +127,6 @@ func (n *Node) gatherCall(dst int, ch uint32, build func(*madeleine.Buffer), don
 // first and cascade the loss of one unreachable leaf into the loss of
 // every subtree above it.
 func (n *Node) gatherCallScaled(dst int, ch uint32, scale int, build func(*madeleine.Buffer), done func(*madeleine.Buffer), miss func()) {
-	if n.c.cfg.RPCTimeout == 0 {
-		n.ep.Call(dst, ch, build, done)
-		return
-	}
 	timeout := n.c.cfg.RPCTimeout * simtime.Time(scale)
 	var attempt func(try int)
 	attempt = func(try int) {
@@ -150,10 +147,6 @@ func (n *Node) gatherCallScaled(dst int, ch uint32, scale int, build func(*madel
 // released immediately — the system-wide section must never be left
 // held by a waiter that walked away.
 func (n *Node) acquireLockOr(granted, timedOut func()) {
-	if n.c.cfg.RPCTimeout == 0 {
-		n.acquireLock(granted)
-		return
-	}
 	n.callRPCWithin(n.lockPatience(), 0, chLock, nil,
 		func(*madeleine.Buffer) { granted() },
 		timedOut,
@@ -195,10 +188,6 @@ func (n *Node) compGiveBack(seller int, shares []core.SellerShare) {
 func (n *Node) spawnRemote(dest int, entry, arg uint32, done func(tid uint32)) {
 	pack := func(b *madeleine.Buffer) { b.PackU32(entry).PackU32(arg) }
 	reply := func(r *madeleine.Buffer) { done(r.U32()) }
-	if n.c.cfg.RPCTimeout == 0 {
-		n.ep.Call(dest, chSpawn, pack, reply)
-		return
-	}
 	tried := 0
 	var attempt func(d int)
 	attempt = func(d int) {

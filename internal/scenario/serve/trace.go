@@ -162,7 +162,8 @@ func Decode(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("serve: bad request count %q", v)
 	}
 
-	t.Requests = make([]Request, 0, count)
+	// The slice grows as request lines are read: the header count is
+	// untrusted input, so it must not size an allocation up front.
 	for i := 0; i < count; i++ {
 		l, err := line()
 		if err != nil {
